@@ -80,8 +80,9 @@ type soakClusterNode struct {
 	addr     string
 	storeDir string
 	queueDir string
-	hintDir  string // non-empty: boot opens a durable hinted-handoff log here
-	factor   int    // replication factor; 0 = the cluster default
+	hintDir  string   // non-empty: boot opens a durable hinted-handoff log here
+	factor   int      // replication factor; 0 = the cluster default
+	severed  []string // hosts the next boot's PeerNet starts severed from
 	ledger   *clusterRunLedger
 
 	s        *service.Server
@@ -111,6 +112,11 @@ func (n *soakClusterNode) boot(peers []string, cfg service.Config, plan NetPlan,
 	pn, err := NewPeerNet(nil, plan)
 	if err != nil {
 		n.t.Fatalf("%s: peer net: %v", n.name, err)
+	}
+	// Sever before service.New: its failure detector pings every peer at
+	// once, and could deliver hints before a later Sever landed.
+	for _, host := range n.severed {
+		pn.Sever(host)
 	}
 	cl, err := cluster.New(cluster.Options{
 		Self:             n.addr,
@@ -668,8 +674,8 @@ func TestSoakClusterHintedHandoff(t *testing.T) {
 
 	// ── SIGKILL A mid-outage: the hint log must survive and replay. ──
 	a.kill()
+	a.severed = []string{cHost} // the outage outlives the crash
 	a.boot(peers, cfg(), NetPlan{})
-	a.net.Sever(cHost) // the outage outlives the crash
 	if got := a.hl.Stats().Replayed; got != 25 {
 		t.Fatalf("A replayed %d hints after SIGKILL, want 25", got)
 	}

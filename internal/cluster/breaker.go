@@ -30,8 +30,8 @@ type Breaker struct {
 }
 
 func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *Breaker {
-	if threshold < 1 {
-		threshold = 1
+	if threshold <= 0 {
+		threshold = 3
 	}
 	if cooldown <= 0 {
 		cooldown = 10 * time.Second

@@ -184,6 +184,32 @@ func TestBreakerOpensOnDeadPeerAndShortCircuits(t *testing.T) {
 	}
 }
 
+// TestBreakerDefaultThresholdIsThree: a cluster built with zero breaker
+// options opens a peer's breaker on the third consecutive failure, as
+// Options documents — not on the first.
+func TestBreakerDefaultThresholdIsThree(t *testing.T) {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	dead := srv.URL
+	srv.Close()
+
+	c, err := New(Options{Self: "http://self.invalid:1", Peers: []string{dead}, Timeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, _, err := c.FetchFrom(context.Background(), dead, "k"); err == nil {
+			t.Fatalf("dead peer fetch %d should error", i)
+		}
+		want := StateClosed
+		if i == 3 {
+			want = StateOpen
+		}
+		if got := c.Snapshot().Peers[0].Breaker; got != want {
+			t.Fatalf("breaker after %d failures = %s, want %s", i, got, want)
+		}
+	}
+}
+
 func TestStealFromGrants(t *testing.T) {
 	fp := &fakePeer{grant: []StolenJob{{Key: "k1", Class: "interactive", Spec: json.RawMessage(`{"protocol":"a"}`)}}}
 	srv := httptest.NewServer(fp.handler())

@@ -12,27 +12,21 @@
 // loop remains the backstop — which is why the log can shed oldest
 // hints under a byte cap rather than refuse writes.
 //
-// The on-disk format mirrors internal/queue's journal: checksummed
-// record lines in sequence-numbered segments, torn-tail-tolerant
-// replay, compact-on-open, and degrade-to-memory-only on any write
-// error. Line format:
-//
-//	coordd-hints/v1 <sha256-hex over the JSON> <compact JSON record>\n
+// The bytes on disk are internal/wal's, shared with the pending-queue
+// journal: checksummed `coordd-hints/v1` record lines in sequence-
+// numbered segments, torn-tail-tolerant replay, compaction, and
+// degrade-to-memory-only on any write error. This file holds only what
+// the records mean: per-peer dedup and oldest-first shedding.
 package hints
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"coordattack/internal/store"
+	"coordattack/internal/wal"
 )
 
 // logVersion prefixes every record line. Unrecognized versions are
@@ -62,17 +56,14 @@ type Options struct {
 	// FS overrides the filesystem; nil means the real disk. Chaos
 	// harnesses inject faults here.
 	FS store.FS
-	// Logf receives one line per degradation, truncation, shed, and
-	// compaction event; nil discards them.
+	// Logf receives one line per degradation, truncation, and shed
+	// event; nil discards them.
 	Logf func(format string, args ...any)
 	// MaxBytes caps the encoded size of the pending hint set; once an
 	// Add would exceed it the oldest pending hints are shed (tombstoned
 	// and counted in Stats.Dropped) until the new hint fits. <= 0 means
 	// unlimited.
 	MaxBytes int64
-	// CompactEvery rewrites the log once this many tombstones have
-	// accumulated since the last compaction. 0 means 1024.
-	CompactEvery int
 }
 
 // Stats is a point-in-time snapshot for /metrics and the admin surface.
@@ -107,134 +98,66 @@ type hint struct {
 // append is fsynced before it returns. A Log opened with an empty dir
 // is memory-only: same API, no durability.
 type Log struct {
-	dir  string // "" = memory-only
-	fs   store.FS
 	logf func(format string, args ...any)
 
-	mu           sync.Mutex
-	active       store.File
-	seq          uint64
-	pending      map[string]map[string]*hint // peer → key → hint
-	order        []*hint                     // global queue order, oldest first
-	bytes        int64                       // encoded size of the pending set
-	maxBytes     int64
-	doneSince    int
-	compactEvery int
-	degraded     bool
+	mu       sync.Mutex
+	wal      *wal.Log[Record]
+	pending  map[string]map[string]*hint // peer → key → hint
+	order    []*hint                     // global queue order, oldest first
+	bytes    int64                       // encoded size of the pending set
+	maxBytes int64
 
-	adds, delivered, dropped, truncated int64
-	replayed                            int
+	adds, delivered, dropped int64
+	replayed                 int
 }
 
 // Open opens (or creates) the hint log at dir, replays its segments,
 // and compacts them into a fresh one. An empty dir yields a memory-only
 // log that never touches the filesystem.
 func Open(dir string, opts Options) (*Log, error) {
-	fs := opts.FS
-	if fs == nil {
-		fs = store.DiskFS()
-	}
-	if opts.CompactEvery == 0 {
-		opts.CompactEvery = 1024
-	}
 	l := &Log{
-		dir:          dir,
-		fs:           fs,
-		logf:         opts.Logf,
-		pending:      make(map[string]map[string]*hint),
-		maxBytes:     opts.MaxBytes,
-		compactEvery: opts.CompactEvery,
+		logf:     opts.Logf,
+		pending:  make(map[string]map[string]*hint),
+		maxBytes: opts.MaxBytes,
 	}
-	if dir == "" {
-		return l, nil
-	}
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("hints: %w", err)
-	}
-	segs, err := l.scan()
+	w, err := wal.Open(dir, wal.Options[Record]{
+		Version:  logVersion,
+		Name:     "hints: log",
+		FS:       opts.FS,
+		Logf:     opts.Logf,
+		Apply:    l.apply,
+		Snapshot: l.snapshot,
+	})
 	if err != nil {
 		return nil, err
 	}
-	l.replayed = len(l.order)
-	l.mu.Lock()
-	if err := l.compactLocked(); err == nil {
-		for _, s := range segs {
-			_ = l.fs.Remove(filepath.Join(dir, s))
-		}
-	}
-	l.mu.Unlock()
+	l.wal, l.replayed = w, len(l.order)
 	return l, nil
 }
 
-// scan replays every segment in order, building the pending set, and
-// returns the segment filenames it consumed. Stray temp files from a
-// crash mid-compaction are swept.
-func (l *Log) scan() ([]string, error) {
-	entries, err := l.fs.ReadDir(l.dir)
-	if err != nil {
-		return nil, fmt.Errorf("hints: %w", err)
+// apply replays one record into the pending set.
+func (l *Log) apply(rec Record) error {
+	switch {
+	case rec.Peer == "" || rec.Key == "":
+		return fmt.Errorf("record without a peer or key")
+	case rec.Op == OpAdd:
+		l.insertLocked(rec.Peer, rec.Key, rec.At)
+	case rec.Op == OpDone:
+		l.removeLocked(rec.Peer, rec.Key)
+	default:
+		return fmt.Errorf("invalid record op %q", rec.Op)
 	}
-	var segs []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(name, "tmp-") {
-			_ = l.fs.Remove(filepath.Join(l.dir, name))
-			continue
-		}
-		if seq, ok := segmentSeq(name); ok {
-			segs = append(segs, name)
-			if seq > l.seq {
-				l.seq = seq
-			}
-		}
-	}
-	sort.Slice(segs, func(a, b int) bool {
-		sa, _ := segmentSeq(segs[a])
-		sb, _ := segmentSeq(segs[b])
-		return sa < sb
-	})
-	for _, name := range segs {
-		data, err := l.fs.ReadFile(filepath.Join(l.dir, name))
-		if err != nil {
-			continue
-		}
-		l.applySegment(name, data)
-	}
-	return segs, nil
+	return nil
 }
 
-// applySegment replays one segment's lines. Undecodable lines — the
-// torn tail of a crash mid-append, or a chaos-injected short write —
-// are counted and skipped; every line that checksums is applied.
-func (l *Log) applySegment(name string, data []byte) {
-	for len(data) > 0 {
-		line := data
-		if nl := indexByte(data, '\n'); nl >= 0 {
-			line, data = data[:nl], data[nl+1:]
-		} else {
-			data = nil // trailing partial line
-		}
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := decodeLine(line)
-		if err != nil {
-			l.truncated++
-			if l.logf != nil {
-				l.logf("hints: log %s: dropped undecodable record: %v", name, err)
-			}
-			continue
-		}
-		switch rec.Op {
-		case OpAdd:
-			l.insertLocked(rec.Peer, rec.Key, rec.At)
-		case OpDone:
-			l.removeLocked(rec.Peer, rec.Key)
-		}
+// snapshot lists the pending hints, oldest first, as the add records a
+// compaction rewrites.
+func (l *Log) snapshot() []Record {
+	out := make([]Record, len(l.order))
+	for i, h := range l.order {
+		out[i] = Record{Op: OpAdd, Peer: h.peer, Key: h.key, At: h.at}
 	}
+	return out
 }
 
 // insertLocked adds (peer, key) to the pending set if absent. Returns
@@ -290,7 +213,7 @@ func (l *Log) Add(peer, key string) error {
 		return nil
 	}
 	l.adds++
-	err := l.appendLocked(&Record{Op: OpAdd, Peer: peer, Key: key, At: h.at})
+	err := l.wal.Append(Record{Op: OpAdd, Peer: peer, Key: key, At: h.at})
 	// Shed oldest-first past the cap. Shedding appends tombstones (so a
 	// replayed log agrees), but never sheds the hint just added: losing
 	// the newest to make room for the oldest would invert the queue.
@@ -304,8 +227,7 @@ func (l *Log) Add(peer, key string) error {
 		if l.logf != nil {
 			l.logf("hints: shed oldest hint (%s ← %.8s) over the %d-byte cap", oldest.peer, oldest.key, l.maxBytes)
 		}
-		_ = l.appendLocked(&Record{Op: OpDone, Peer: oldest.peer, Key: oldest.key})
-		l.noteDoneLocked()
+		_ = l.wal.Tombstone(Record{Op: OpDone, Peer: oldest.peer, Key: oldest.key})
 	}
 	return err
 }
@@ -320,22 +242,7 @@ func (l *Log) Delivered(peer, key string) error {
 		return nil
 	}
 	l.delivered++
-	err := l.appendLocked(&Record{Op: OpDone, Peer: peer, Key: key})
-	l.noteDoneLocked()
-	return err
-}
-
-// noteDoneLocked triggers a live compaction once a segment's worth of
-// tombstones has accumulated, bounding the log by its backlog.
-func (l *Log) noteDoneLocked() {
-	l.doneSince++
-	if l.doneSince < l.compactEvery {
-		return
-	}
-	old := l.activeSegmentPath()
-	if err := l.compactLocked(); err == nil && old != "" {
-		_ = l.fs.Remove(old)
-	}
+	return l.wal.Tombstone(Record{Op: OpDone, Peer: peer, Key: key})
 }
 
 // Pending returns peer's queued keys, oldest first.
@@ -385,8 +292,8 @@ func (l *Log) Stats() Stats {
 		Delivered: l.delivered,
 		Dropped:   l.dropped,
 		Replayed:  l.replayed,
-		Truncated: l.truncated,
-		Degraded:  l.degraded,
+		Truncated: l.wal.Truncated(),
+		Degraded:  l.wal.Degraded(),
 	}
 }
 
@@ -394,185 +301,20 @@ func (l *Log) Stats() Stats {
 func (l *Log) Degraded() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.degraded
+	return l.wal.Degraded()
 }
 
 // Close closes the active segment handle. Hints already appended stay
-// durable; a closed log refuses nothing — further appends simply demote
-// it (the daemon is exiting anyway).
+// durable; a closed log refuses nothing — further hints are kept in
+// memory only (the daemon is exiting anyway).
 func (l *Log) Close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.active != nil {
-		l.active.Close()
-		l.active = nil
-		l.degraded = true
-	}
-}
-
-// appendLocked writes one fsynced record line to the active segment,
-// opening the first segment lazily. Memory-only logs skip the disk.
-// Any error demotes the log.
-func (l *Log) appendLocked(rec *Record) error {
-	if l.dir == "" || l.degraded {
-		return nil
-	}
-	if l.active == nil {
-		if err := l.compactLocked(); err != nil {
-			return err
-		}
-	}
-	line, err := encodeLine(rec)
-	if err != nil {
-		return l.demoteLocked(err)
-	}
-	if _, err := l.active.Write(line); err != nil {
-		return l.demoteLocked(err)
-	}
-	if err := l.active.Sync(); err != nil {
-		return l.demoteLocked(err)
-	}
-	return nil
-}
-
-func (l *Log) activeSegmentPath() string {
-	if l.active == nil {
-		return ""
-	}
-	return filepath.Join(l.dir, fmt.Sprintf("%08d.wal", l.seq))
-}
-
-// compactLocked writes the current pending set into a fresh segment —
-// temp file, fsync, rename, dir fsync — and makes it the active append
-// target. The caller removes superseded segments on success.
-func (l *Log) compactLocked() error {
-	if l.dir == "" {
-		return nil
-	}
-	tmp, err := l.fs.CreateTemp(l.dir, "tmp-*")
-	if err != nil {
-		return l.demoteLocked(err)
-	}
-	for _, h := range l.order {
-		line, err := encodeLine(&Record{Op: OpAdd, Peer: h.peer, Key: h.key, At: h.at})
-		if err != nil {
-			tmp.Close()
-			_ = l.fs.Remove(tmp.Name())
-			return l.demoteLocked(err)
-		}
-		if _, err := tmp.Write(line); err != nil {
-			tmp.Close()
-			_ = l.fs.Remove(tmp.Name())
-			return l.demoteLocked(err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		_ = l.fs.Remove(tmp.Name())
-		return l.demoteLocked(err)
-	}
-	next := l.seq + 1
-	dest := filepath.Join(l.dir, fmt.Sprintf("%08d.wal", next))
-	if err := l.fs.Rename(tmp.Name(), dest); err != nil {
-		tmp.Close()
-		_ = l.fs.Remove(tmp.Name())
-		return l.demoteLocked(err)
-	}
-	if err := l.fs.SyncDir(l.dir); err != nil {
-		tmp.Close()
-		return l.demoteLocked(err)
-	}
-	// The open handle follows the rename: appends land in the new
-	// segment file.
-	if l.active != nil {
-		l.active.Close()
-	}
-	l.active = tmp
-	l.seq = next
-	l.doneSince = 0
-	return nil
-}
-
-// demoteLocked flips the log to memory-only exactly once.
-func (l *Log) demoteLocked(cause error) error {
-	if !l.degraded {
-		l.degraded = true
-		if l.logf != nil {
-			l.logf("hints: log degraded to memory-only: %v (queued hints lose crash durability until restart)", cause)
-		}
-	}
-	return cause
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, v := range b {
-		if v == c {
-			return i
-		}
-	}
-	return -1
-}
-
-// segmentSeq parses "<seq>.wal" names.
-func segmentSeq(name string) (uint64, bool) {
-	base, ok := strings.CutSuffix(name, ".wal")
-	if !ok || len(base) != 8 {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(base, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
+	l.wal.Close()
 }
 
 // addLineSize is the encoded add-line length of one hint — the unit the
 // MaxBytes cap meters.
 func addLineSize(peer, key string, at int64) int64 {
-	line, err := encodeLine(&Record{Op: OpAdd, Peer: peer, Key: key, At: at})
-	if err != nil {
-		return int64(len(peer) + len(key))
-	}
-	return int64(len(line))
-}
-
-// encodeLine renders one record line with its binding checksum.
-func encodeLine(rec *Record) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(body)
-	line := make([]byte, 0, len(logVersion)+1+64+1+len(body)+1)
-	line = append(line, logVersion...)
-	line = append(line, ' ')
-	line = append(line, hex.EncodeToString(sum[:])...)
-	line = append(line, ' ')
-	line = append(line, body...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-// decodeLine parses and verifies one record line.
-func decodeLine(line []byte) (*Record, error) {
-	rest, ok := strings.CutPrefix(string(line), logVersion+" ")
-	if !ok {
-		return nil, fmt.Errorf("bad version prefix")
-	}
-	sum, body, ok := strings.Cut(rest, " ")
-	if !ok || len(sum) != 64 {
-		return nil, fmt.Errorf("malformed checksum field")
-	}
-	got := sha256.Sum256([]byte(body))
-	if hex.EncodeToString(got[:]) != sum {
-		return nil, fmt.Errorf("checksum mismatch")
-	}
-	var rec Record
-	if err := json.Unmarshal([]byte(body), &rec); err != nil {
-		return nil, err
-	}
-	if rec.Peer == "" || rec.Key == "" || (rec.Op != OpAdd && rec.Op != OpDone) {
-		return nil, fmt.Errorf("invalid record op %q", rec.Op)
-	}
-	return &rec, nil
+	return wal.LineSize(logVersion, Record{Op: OpAdd, Peer: peer, Key: key, At: at})
 }

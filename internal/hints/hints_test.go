@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"coordattack/internal/store"
+	"coordattack/internal/wal"
 )
 
 const (
@@ -126,8 +127,12 @@ func TestHintsTornTailTolerated(t *testing.T) {
 	if err := l.Add(peerA, key(2)); err != nil {
 		t.Fatal(err)
 	}
-	seg := l.activeSegmentPath()
 	l.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments = %v, %v; want one", segs, err)
+	}
+	seg := segs[0]
 
 	// Chop the last line mid-record: the crash-torn tail.
 	data, err := os.ReadFile(seg)
@@ -211,8 +216,10 @@ func TestHintsMemoryOnly(t *testing.T) {
 
 func TestHintsCompactionBoundsLog(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{CompactEvery: 8})
-	for i := 0; i < 40; i++ {
+	l := mustOpen(t, dir, Options{})
+	// Two live compactions' worth of delivered hints, plus a few more.
+	n := 2*wal.CompactEvery + 8
+	for i := 0; i < n; i++ {
 		if err := l.Add(peerA, key(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -238,8 +245,8 @@ func TestHintsCompactionBoundsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The surviving segment holds only post-compaction appends, far
-	// fewer than the 80 records written in total.
-	if lines := strings.Count(string(data), "\n"); lines >= 80 {
+	// fewer than the 2n records written in total.
+	if lines := strings.Count(string(data), "\n"); lines >= 2*n {
 		t.Fatalf("compaction never bounded the log: %d lines", lines)
 	}
 }
@@ -303,26 +310,5 @@ func TestHintsDegradeOnWriteError(t *testing.T) {
 	}
 	if n == 0 || !strings.Contains(logged[0], "degraded") {
 		t.Fatalf("missing degradation log line: %v", logged)
-	}
-}
-
-func TestHintsRecordRoundTrip(t *testing.T) {
-	rec := &Record{Op: OpAdd, Peer: peerA, Key: key(7), At: 42}
-	line, err := encodeLine(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeLine(line[:len(line)-1]) // strip trailing newline
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, rec) {
-		t.Fatalf("round trip = %+v, want %+v", got, rec)
-	}
-	// Flipping one body byte breaks the checksum.
-	corrupt := append([]byte(nil), line[:len(line)-1]...)
-	corrupt[len(corrupt)-2] ^= 1
-	if _, err := decodeLine(corrupt); err == nil {
-		t.Fatal("corrupted line decoded cleanly")
 	}
 }

@@ -1,40 +1,23 @@
 package queue
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"coordattack/internal/store"
+	"coordattack/internal/wal"
 )
 
 // The pending-queue journal is a write-ahead log of admission: one
-// checksummed record is appended (and fsynced) per accepted job before
-// the 202 leaves the daemon, and a tombstone is appended when the job
-// settles. On open, the segments are replayed — accepts minus settles
-// is the pending set a restarted daemon re-admits — and compacted into
-// a single fresh segment holding only the still-pending accepts, so the
-// log never grows across restarts.
-//
-// Line format, one record per line:
-//
-//	coordd-queue/v1 <sha256-hex over the JSON> <compact JSON record>\n
-//
-// The checksum binds each line independently, so replay survives a torn
-// tail (a crash mid-append) and even a torn middle (a chaos-injected
-// short write that later appends merge into): undecodable lines are
-// counted and skipped, checksummed lines are trusted. Segments are
-// created crash-safely with the store's own discipline — temp file,
-// fsync, rename, directory fsync — through the same store.FS
-// abstraction, so internal/chaos injects EIO/ENOSPC/torn-write faults
-// into the journal exactly as it does into the result store.
+// record is appended (and fsynced) per accepted job before the 202
+// leaves the daemon, and a tombstone is appended when the job settles.
+// On open the log is replayed — accepts minus settles is the pending
+// set a restarted daemon re-admits — and compacted down to the still-
+// pending accepts. The bytes on disk, replay, compaction and the
+// degrade-to-memory discipline belong to internal/wal; this file holds
+// only what the records mean.
 //
 // Like the store, the journal degrades instead of failing its caller: a
 // write-path error demotes it to memory-only (logged once, visible in
@@ -79,13 +62,9 @@ type JournalOptions struct {
 	// FS overrides the filesystem; nil means the real disk. Chaos
 	// harnesses inject faults here.
 	FS store.FS
-	// Logf receives one line per degradation, truncation, and
-	// compaction event; nil discards them.
+	// Logf receives one line per degradation and truncation event; nil
+	// discards them.
 	Logf func(format string, args ...any)
-	// CompactEvery rewrites the log once this many tombstones have
-	// accumulated since the last compaction, bounding live growth.
-	// 0 means 1024.
-	CompactEvery int
 }
 
 // JournalStats is a point-in-time snapshot for /metrics and /healthz.
@@ -102,21 +81,13 @@ type JournalStats struct {
 // Journal is the durable pending queue. Safe for concurrent use; every
 // append is fsynced before it returns.
 type Journal struct {
-	dir  string
-	fs   store.FS
-	logf func(format string, args ...any)
+	mu      sync.Mutex
+	wal     *wal.Log[Record]
+	pending map[string]*Record
+	order   []string // pending keys in accept order
+	replay  []Record // snapshot of pending taken at open
 
-	mu           sync.Mutex
-	active       store.File
-	seq          uint64 // sequence number of the active segment
-	pending      map[string]*Record
-	order        []string // pending keys in accept order
-	replay       []Record // snapshot of pending taken at open
-	settledSince int
-	compactEvery int
-	degraded     bool
-
-	accepts, settles, truncated, compactions int64
+	accepts, settles int64
 }
 
 // OpenJournal opens (or creates) the journal at dir, replays its
@@ -126,154 +97,72 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("queue: empty journal directory")
 	}
-	fs := opts.FS
-	if fs == nil {
-		fs = store.DiskFS()
-	}
-	if opts.CompactEvery == 0 {
-		opts.CompactEvery = 1024
-	}
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("queue: %w", err)
-	}
-	j := &Journal{
-		dir:          dir,
-		fs:           fs,
-		logf:         opts.Logf,
-		pending:      make(map[string]*Record),
-		compactEvery: opts.CompactEvery,
-	}
-	segs, err := j.scan()
+	j := &Journal{pending: make(map[string]*Record)}
+	w, err := wal.Open(dir, wal.Options[Record]{
+		Version:  journalVersion,
+		Name:     "queue: journal",
+		FS:       opts.FS,
+		Logf:     opts.Logf,
+		Apply:    j.apply,
+		Snapshot: j.snapshot,
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, key := range j.order {
-		j.replay = append(j.replay, *j.pending[key])
-	}
-	// Compact-on-open: rewrite the pending set into one fresh segment
-	// and drop the old ones. A failure here degrades the journal at
-	// birth — replay still works (the reads succeeded), new accepts just
-	// are not durable until the disk heals and the daemon restarts.
-	j.mu.Lock()
-	if err := j.compactLocked(); err == nil {
-		for _, s := range segs {
-			_ = j.fs.Remove(filepath.Join(dir, s))
-		}
-	}
-	j.mu.Unlock()
+	j.wal, j.replay = w, j.snapshot()
 	return j, nil
 }
 
-// scan replays every segment in order, building the pending set, and
-// returns the segment filenames it consumed. Stray temp files from a
-// crash mid-compaction are swept.
-func (j *Journal) scan() ([]string, error) {
-	entries, err := j.fs.ReadDir(j.dir)
-	if err != nil {
-		return nil, fmt.Errorf("queue: %w", err)
+// apply replays one record into the pending set. An intent is still
+// pending — only the commit-driven settle tombstone clears it — and
+// replay surfaces the recorded thief so the service can poll it before
+// re-running locally.
+func (j *Journal) apply(rec Record) error {
+	switch {
+	case rec.Key == "":
+		return fmt.Errorf("record without a key")
+	case rec.Op == OpAccept || rec.Op == OpIntent:
+		j.put(rec)
+	case rec.Op == OpSettle:
+		j.drop(rec.Key)
+	default:
+		return fmt.Errorf("invalid record op %q", rec.Op)
 	}
-	var segs []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(name, "tmp-") {
-			_ = j.fs.Remove(filepath.Join(j.dir, name))
-			continue
-		}
-		if seq, ok := segmentSeq(name); ok {
-			segs = append(segs, name)
-			if seq > j.seq {
-				j.seq = seq
-			}
-		}
-	}
-	sort.Slice(segs, func(a, b int) bool {
-		sa, _ := segmentSeq(segs[a])
-		sb, _ := segmentSeq(segs[b])
-		return sa < sb
-	})
-	for _, name := range segs {
-		data, err := j.fs.ReadFile(filepath.Join(j.dir, name))
-		if err != nil {
-			continue
-		}
-		j.applySegment(name, data)
-	}
-	return segs, nil
+	return nil
 }
 
-// applySegment replays one segment's lines into the pending set.
-// Undecodable lines — the torn tail of a crash mid-append, or a chaos-
-// injected short write — are counted and skipped; every line that
-// checksums is applied.
-func (j *Journal) applySegment(name string, data []byte) {
-	for len(data) > 0 {
-		line := data
-		if nl := indexByte(data, '\n'); nl >= 0 {
-			line, data = data[:nl], data[nl+1:]
-		} else {
-			data = nil // trailing partial line
-		}
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := decodeLine(line)
-		if err != nil {
-			j.truncated++
-			if j.logf != nil {
-				j.logf("queue: journal %s: dropped undecodable record: %v", name, err)
-			}
-			continue
-		}
-		switch rec.Op {
-		case OpAccept, OpIntent:
-			// An intent is still pending — only the commit-driven settle
-			// tombstone clears it. Replay surfaces the recorded thief so
-			// the service can poll it before re-running locally.
-			if _, ok := j.pending[rec.Key]; !ok {
-				j.order = append(j.order, rec.Key)
-			}
-			j.pending[rec.Key] = rec
-		case OpSettle:
-			if _, ok := j.pending[rec.Key]; ok {
-				delete(j.pending, rec.Key)
-				j.order = removeKey(j.order, rec.Key)
-			}
-		}
+// snapshot lists the pending records in admission order: what a
+// compaction rewrites.
+func (j *Journal) snapshot() []Record {
+	out := make([]Record, len(j.order))
+	for i, key := range j.order {
+		out[i] = *j.pending[key]
 	}
+	return out
 }
 
-func indexByte(b []byte, c byte) int {
-	for i, v := range b {
-		if v == c {
-			return i
-		}
+// put makes rec the pending record for its key, keeping the key's
+// admission position if it already has one.
+func (j *Journal) put(rec Record) {
+	if _, ok := j.pending[rec.Key]; !ok {
+		j.order = append(j.order, rec.Key)
 	}
-	return -1
+	j.pending[rec.Key] = &rec
 }
 
-func removeKey(order []string, key string) []string {
-	for i, k := range order {
+// drop removes key from the pending set, reporting whether it was there.
+func (j *Journal) drop(key string) bool {
+	if _, ok := j.pending[key]; !ok {
+		return false
+	}
+	delete(j.pending, key)
+	for i, k := range j.order {
 		if k == key {
-			return append(order[:i], order[i+1:]...)
+			j.order = append(j.order[:i], j.order[i+1:]...)
+			break
 		}
 	}
-	return order
-}
-
-// segmentSeq parses "<seq>.wal" names.
-func segmentSeq(name string) (uint64, bool) {
-	base, ok := strings.CutSuffix(name, ".wal")
-	if !ok || len(base) != 8 {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(base, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
+	return true
 }
 
 // Pending returns the accept records recovered at open, in admission
@@ -297,12 +186,8 @@ func (j *Journal) Accept(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.accepts++
-	r := rec
-	if _, ok := j.pending[rec.Key]; !ok {
-		j.order = append(j.order, rec.Key)
-	}
-	j.pending[rec.Key] = &r
-	return j.appendLocked(&r)
+	j.put(rec)
+	return j.wal.Append(rec)
 }
 
 // Intent re-stamps key's pending record with the thief's address and
@@ -318,10 +203,9 @@ func (j *Journal) Intent(key, thief string) error {
 		return nil
 	}
 	r := *rec
-	r.Op = OpIntent
-	r.Thief = thief
-	j.pending[key] = &r
-	return j.appendLocked(&r)
+	r.Op, r.Thief = OpIntent, thief
+	j.put(r)
+	return j.wal.Append(r)
 }
 
 // Settle appends a tombstone for key. Settling a key with no pending
@@ -329,124 +213,18 @@ func (j *Journal) Intent(key, thief string) error {
 func (j *Journal) Settle(key string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, ok := j.pending[key]; !ok {
+	if !j.drop(key) {
 		return nil
 	}
-	delete(j.pending, key)
-	j.order = removeKey(j.order, key)
 	j.settles++
-	j.settledSince++
-	if err := j.appendLocked(&Record{Op: OpSettle, Key: key}); err != nil {
-		return err
-	}
-	if j.settledSince >= j.compactEvery {
-		// Live compaction: the log has accumulated a segment's worth of
-		// tombstones; rewrite it down to the pending set so a long-lived
-		// daemon's journal stays bounded by its backlog, not its history.
-		old := j.activeSegmentPath()
-		if err := j.compactLocked(); err == nil && old != "" {
-			_ = j.fs.Remove(old)
-		}
-	}
-	return nil
-}
-
-func (j *Journal) activeSegmentPath() string {
-	if j.active == nil {
-		return ""
-	}
-	return filepath.Join(j.dir, fmt.Sprintf("%08d.wal", j.seq))
-}
-
-// appendLocked writes one fsynced record line to the active segment,
-// opening the first segment lazily. Any error demotes the journal.
-func (j *Journal) appendLocked(rec *Record) error {
-	if j.degraded {
-		return nil
-	}
-	if j.active == nil {
-		if err := j.compactLocked(); err != nil {
-			return err
-		}
-	}
-	line, err := encodeLine(rec)
-	if err != nil {
-		return j.demoteLocked(err)
-	}
-	if _, err := j.active.Write(line); err != nil {
-		return j.demoteLocked(err)
-	}
-	if err := j.active.Sync(); err != nil {
-		return j.demoteLocked(err)
-	}
-	return nil
-}
-
-// compactLocked writes the current pending set into a fresh segment —
-// temp file, fsync, rename, dir fsync — and makes it the active append
-// target. The caller removes superseded segments on success.
-func (j *Journal) compactLocked() error {
-	tmp, err := j.fs.CreateTemp(j.dir, "tmp-*")
-	if err != nil {
-		return j.demoteLocked(err)
-	}
-	for _, key := range j.order {
-		line, err := encodeLine(j.pending[key])
-		if err != nil {
-			tmp.Close()
-			_ = j.fs.Remove(tmp.Name())
-			return j.demoteLocked(err)
-		}
-		if _, err := tmp.Write(line); err != nil {
-			tmp.Close()
-			_ = j.fs.Remove(tmp.Name())
-			return j.demoteLocked(err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		_ = j.fs.Remove(tmp.Name())
-		return j.demoteLocked(err)
-	}
-	next := j.seq + 1
-	dest := filepath.Join(j.dir, fmt.Sprintf("%08d.wal", next))
-	if err := j.fs.Rename(tmp.Name(), dest); err != nil {
-		tmp.Close()
-		_ = j.fs.Remove(tmp.Name())
-		return j.demoteLocked(err)
-	}
-	if err := j.fs.SyncDir(j.dir); err != nil {
-		tmp.Close()
-		return j.demoteLocked(err)
-	}
-	// The open handle follows the rename: appends land in the new
-	// segment file.
-	if j.active != nil {
-		j.active.Close()
-	}
-	j.active = tmp
-	j.seq = next
-	j.settledSince = 0
-	j.compactions++
-	return nil
-}
-
-// demoteLocked flips the journal to memory-only exactly once.
-func (j *Journal) demoteLocked(cause error) error {
-	if !j.degraded {
-		j.degraded = true
-		if j.logf != nil {
-			j.logf("queue: journal degraded to memory-only: %v (accepted jobs lose crash durability until restart)", cause)
-		}
-	}
-	return cause
+	return j.wal.Tombstone(Record{Op: OpSettle, Key: key})
 }
 
 // Degraded reports whether a write error demoted the journal.
 func (j *Journal) Degraded() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.degraded
+	return j.wal.Degraded()
 }
 
 // Stats snapshots the journal's counters.
@@ -458,62 +236,17 @@ func (j *Journal) Stats() JournalStats {
 		Accepts:     j.accepts,
 		Settles:     j.settles,
 		Replayed:    len(j.replay),
-		Truncated:   j.truncated,
-		Compactions: j.compactions,
-		Degraded:    j.degraded,
+		Truncated:   j.wal.Truncated(),
+		Compactions: j.wal.Compactions(),
+		Degraded:    j.wal.Degraded(),
 	}
 }
 
 // Close closes the active segment handle. Records already appended stay
-// durable; a closed journal refuses nothing — further appends simply
-// demote it (the daemon is exiting anyway).
+// durable; a closed journal refuses nothing — further accepts and
+// settles are kept in memory only (the daemon is exiting anyway).
 func (j *Journal) Close() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.active != nil {
-		j.active.Close()
-		j.active = nil
-		j.degraded = true
-	}
-}
-
-// encodeLine renders one record line with its binding checksum.
-func encodeLine(rec *Record) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(body)
-	line := make([]byte, 0, len(journalVersion)+1+64+1+len(body)+1)
-	line = append(line, journalVersion...)
-	line = append(line, ' ')
-	line = append(line, hex.EncodeToString(sum[:])...)
-	line = append(line, ' ')
-	line = append(line, body...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-// decodeLine parses and verifies one record line.
-func decodeLine(line []byte) (*Record, error) {
-	rest, ok := strings.CutPrefix(string(line), journalVersion+" ")
-	if !ok {
-		return nil, fmt.Errorf("bad version prefix")
-	}
-	sum, body, ok := strings.Cut(rest, " ")
-	if !ok || len(sum) != 64 {
-		return nil, fmt.Errorf("malformed checksum field")
-	}
-	got := sha256.Sum256([]byte(body))
-	if hex.EncodeToString(got[:]) != sum {
-		return nil, fmt.Errorf("checksum mismatch")
-	}
-	var rec Record
-	if err := json.Unmarshal([]byte(body), &rec); err != nil {
-		return nil, err
-	}
-	if rec.Key == "" || (rec.Op != OpAccept && rec.Op != OpSettle && rec.Op != OpIntent) {
-		return nil, fmt.Errorf("invalid record op %q", rec.Op)
-	}
-	return &rec, nil
+	j.wal.Close()
 }

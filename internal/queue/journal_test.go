@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"coordattack/internal/store"
+	"coordattack/internal/wal"
 )
 
 // failFS wraps the disk FS with a manual outage switch, a minimal stand-
@@ -181,25 +182,26 @@ func TestJournalCompactOnOpen(t *testing.T) {
 	}
 }
 
-// TestJournalLiveCompaction: once CompactEvery tombstones accumulate the
-// log is rewritten in place, bounded by the backlog.
+// TestJournalLiveCompaction: once wal.CompactEvery tombstones accumulate
+// the log is rewritten in place, bounded by the backlog.
 func TestJournalLiveCompaction(t *testing.T) {
 	dir := t.TempDir()
-	j := openJournal(t, dir, JournalOptions{CompactEvery: 3})
+	j := openJournal(t, dir, JournalOptions{})
 	defer j.Close()
-	for i := 0; i < 8; i++ {
+	settles := 2 * wal.CompactEvery
+	for i := 0; i < settles+2; i++ {
 		if err := j.Accept(acceptRec(fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < settles; i++ {
 		if err := j.Settle(fmt.Sprintf("k%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := j.Stats()
-	// One compaction at open plus two live ones (after the 3rd and 6th
-	// settles).
+	// One compaction at open plus two live ones (after every
+	// wal.CompactEvery settles).
 	if st.Compactions != 3 {
 		t.Fatalf("compactions = %d, want 3 (stats %+v)", st.Compactions, st)
 	}
@@ -235,12 +237,19 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 	j1.Close()
 	// Fabricate the torn tail: append a prefix of a valid record line
-	// with no trailing newline, as a crash mid-write would leave.
-	seg := onlySegment(t, dir)
-	full, err := encodeLine(&Record{Op: OpAccept, Key: "torn", Flow: "interactive"})
+	// (journaled in a scratch directory) with no trailing newline, as a
+	// crash mid-write would leave.
+	scratch := t.TempDir()
+	j0 := openJournal(t, scratch, JournalOptions{})
+	if err := j0.Accept(Record{Key: "torn", Flow: "interactive"}); err != nil {
+		t.Fatal(err)
+	}
+	j0.Close()
+	full, err := os.ReadFile(onlySegment(t, scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
+	seg := onlySegment(t, dir)
 	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
