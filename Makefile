@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-json bench-check report quick-report fault-demo service-demo sweep-demo persist-demo chaos-demo queue-demo cluster-demo cluster-chaos-demo cluster-hints-demo fuzz fuzz-spec clean
+.PHONY: all build test test-race bench bench-json bench-check loc report quick-report fault-demo service-demo sweep-demo persist-demo chaos-demo queue-demo cluster-demo cluster-chaos-demo cluster-hints-demo fuzz fuzz-spec clean
 
 all: build test
 
@@ -35,6 +35,19 @@ bench-json:
 # reference path (or a genuine engine regression) trips this.
 bench-check:
 	$(GO) run ./cmd/coordbench -bench -trials 2000 -baseline BENCH_1.json -max-slowdown 2 -out /dev/null
+
+# Non-test line count per package of this module (coordperf is its own
+# module and stays out): non-blank lines that do not start with //, in
+# the package's non-_test.go files, then the total. Informational only.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+		awk '{ n = 0; \
+			for (i = 2; i <= NF; i++) { \
+				while ((getline l < $$i) > 0) if (l !~ /^[ \t]*$$/ && l !~ /^[ \t]*\/\//) n++; \
+				close($$i) \
+			} \
+			printf "%7d  %s\n", n, $$1; t += n } \
+		END { printf "%7d  total\n", t }'
 
 # Full-fidelity reproduction report (EXPERIMENTS.md body).
 report:

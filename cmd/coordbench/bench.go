@@ -53,15 +53,16 @@ const benchRounds = 10
 
 // runBench measures Monte-Carlo trial throughput over the fixed matrix
 // and writes one JSON report. The "sim" engine is the sequential
-// round-loop simulator, "concurrent" the goroutine-per-process one, and
+// simulator, "concurrent" the goroutine-per-process channel engine, and
 // "mc" the full estimator with its trial-level parallelism — so the
 // three rows per cell separate simulator cost, concurrency overhead,
-// and estimator scaling. Each row uses the zero-alloc fast engine when
-// the protocol provides one (every matrix protocol does), falling back
-// to the reference engines otherwise — the same dispatch mc.Estimate
-// performs internally. When baselinePath names an earlier BENCH_N.json,
-// the run additionally gates on it: any cell slower than maxSlowdown ×
-// its baseline throughput fails the run.
+// and estimator scaling. The "sim" and "mc" rows use the zero-alloc
+// engine when the protocol provides one (every matrix protocol does),
+// falling back to the reference loop otherwise — the same dispatch
+// mc.Estimate performs internally. The "concurrent" row always times
+// sim.ConcurrentOutputs, as BENCH_1 did. When baselinePath names an
+// earlier BENCH_N.json, the run additionally gates on it: any cell
+// slower than maxSlowdown × its baseline throughput fails the run.
 func runBench(trials int, seed uint64, baselinePath string, maxSlowdown float64, out io.Writer) int {
 	if trials <= 0 {
 		trials = 5000
@@ -183,29 +184,13 @@ func benchSim(p protocol.Protocol, g *graph.G, r *runpkg.Run, stream rng.Stream,
 	return time.Since(start).Seconds(), nil
 }
 
-// benchConcurrent times the goroutine-per-process engines, preferring
-// the persistent-worker ConcurrentEngine.
+// benchConcurrent times the goroutine-per-process channel engine,
+// sim.ConcurrentOutputs, which builds its goroutines and channels per
+// trial.
 func benchConcurrent(p protocol.Protocol, g *graph.G, r *runpkg.Run, stream rng.Stream, trials int) (float64, error) {
-	eng, err := sim.NewConcurrentEngine(p, g, r.N())
-	if errors.Is(err, sim.ErrNoFastPath) {
-		start := time.Now()
-		for t := 0; t < trials; t++ {
-			if _, err := sim.ConcurrentOutputs(p, g, r, sim.StreamTapes(stream, uint64(t))); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start).Seconds(), nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer eng.Close()
-	if err := eng.LoadRun(r); err != nil {
-		return 0, err
-	}
 	start := time.Now()
 	for t := 0; t < trials; t++ {
-		if _, err := eng.Trial(stream, uint64(t)); err != nil {
+		if _, err := sim.ConcurrentOutputs(p, g, r, sim.StreamTapes(stream, uint64(t))); err != nil {
 			return 0, err
 		}
 	}

@@ -14,10 +14,10 @@ import (
 )
 
 // The mc differential suite: every job is run twice — fast path and
-// Reference — and the marshalled Results must be byte-identical. This is
-// the estimator-level guarantee on top of the sim-level suite: not just
-// per-trial outputs but failure accounting, attack counts, proportions,
-// and adaptive stopping points survive the engine swap.
+// reference path — and the marshalled Results must be byte-identical.
+// This is the estimator-level guarantee on top of the sim-level suite:
+// not just per-trial outputs but failure accounting, attack counts,
+// proportions, and adaptive stopping points survive the engine swap.
 
 func diffGraphs(t *testing.T) map[string]*graph.G {
 	t.Helper()
@@ -61,9 +61,7 @@ func estimateJSON(t *testing.T, cfg Config) []byte {
 func assertPathsAgree(t *testing.T, name string, cfg Config) {
 	t.Helper()
 	fast := cfg
-	fast.Reference = false
-	ref := cfg
-	ref.Reference = true
+	ref := withReference(cfg)
 	got := estimateJSON(t, fast)
 	want := estimateJSON(t, ref)
 	if !bytes.Equal(got, want) {
@@ -179,8 +177,7 @@ func TestFastPathGating(t *testing.T) {
 	if !FastPathAvailable(sampled) {
 		t.Error("sampler S job should take the fast path")
 	}
-	forced := fixed
-	forced.Reference = true
+	forced := withReference(fixed)
 	if FastPathAvailable(forced) {
 		t.Error("Reference must force the reference path")
 	}

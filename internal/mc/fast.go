@@ -1,119 +1,71 @@
 package mc
 
 import (
-	"fmt"
-
+	"coordattack/internal/protocol"
 	"coordattack/internal/rng"
+	"coordattack/internal/run"
 	"coordattack/internal/sim"
 )
 
 // Fast execution path: when the protocol exposes a zero-alloc engine
-// (protocol.FastProtocol → sim.Engine), Monte-Carlo workers run trials
-// against pooled engines instead of building machines, inboxes, and
+// (protocol.FastProtocol → sim.Engine), each Monte-Carlo worker runs its
+// trials on its own engine instead of building machines, inboxes, and
 // tapes per trial. The path is gated conservatively — any doubt falls
-// back to the reference loop — and is bit-identical to it: same tape
+// back to the reference executor — and is bit-identical to it: same tape
 // seeds per (Seed, trial, proc), same transition order, same failure
 // accounting. The differential suite runs every job both ways and
 // compares Result JSON byte for byte.
 
-// newFastPath classifies cfg. It returns a warm engine pool for
-// fixed-run jobs, or fastSampler=true for sampler jobs whose workers
-// build per-horizon engines lazily. Jobs with a Mutator always take the
-// reference path: the mutated protocol varies per trial, so a prebuilt
+// fastPath reports whether cfg runs on zero-alloc engines. Jobs with a
+// Mutator never do: the mutated protocol varies per trial, so a prebuilt
 // engine would execute the wrong protocol.
-func newFastPath(cfg Config) (*sim.EnginePool, bool) {
-	if cfg.Reference || cfg.Mutator != nil {
-		return nil, false
+func fastPath(cfg Config) bool {
+	if cfg.reference || cfg.Mutator != nil {
+		return false
 	}
 	if cfg.Sampler != nil {
 		// Probe the shape with a throwaway horizon; the per-trial horizon
 		// is only known once each run is sampled.
-		if _, err := sim.NewEngine(cfg.Protocol, cfg.Graph, 1); err != nil {
-			return nil, false
-		}
-		return nil, true
+		_, err := sim.NewEngine(cfg.Protocol, cfg.Graph, 1)
+		return err == nil
 	}
-	pool, err := sim.NewEnginePool(cfg.Protocol, cfg.Graph, cfg.Run.N())
-	if err != nil {
-		return nil, false
-	}
+	probe, err := sim.NewEngine(cfg.Protocol, cfg.Graph, cfg.Run.N())
 	// An invalid fixed run fails every trial on the reference path; keep
 	// that accounting (and its error text) by falling back.
-	probe := pool.Get()
-	loadErr := probe.LoadRun(cfg.Run)
-	pool.Put(probe)
-	if loadErr != nil {
-		return nil, false
-	}
-	return pool, true
+	return err == nil && probe.LoadRun(cfg.Run) == nil
 }
 
-// fastFixedTrials is the fixed-run fast worker loop: one warm engine per
-// worker, the run bitset loaded once, then a steady-state trial loop
-// that allocates nothing (the alloc-regression test pins it).
-func (e *estimator) fastFixedTrials(local *tally, w, workers, lo, hi int) {
-	cfg := e.cfg
-	m := cfg.Graph.NumVertices()
-	eng := e.pool.Get()
-	defer e.pool.Put(eng)
-	if err := eng.LoadRun(cfg.Run); err != nil {
-		// Unreachable after the newFastPath probe, but account for it the
-		// way the reference loop would rather than aborting the job.
-		for trial := lo + w; trial < hi; trial += workers {
-			e.fail(local, trial, fmt.Errorf("mc: trial %d: %w", trial, err))
-		}
-		return
-	}
-	for trial := lo + w; trial < hi; trial += workers {
-		if e.ctx.Err() != nil {
-			return
-		}
-		outs, err := eng.Trial(e.protoStream, uint64(trial))
-		if err != nil {
-			e.fail(local, trial, fmt.Errorf("mc: trial %d: %w", trial, err))
-			continue
-		}
-		e.record(local, outs, m)
-	}
+// worker is one trial goroutine's state: its tally, the tape its sampled
+// runs are drawn from, and on the fast path its engine.
+type worker struct {
+	local tally
+	tape  *rng.Tape
+	eng   *sim.Engine
+	// loaded marks eng as holding the fixed run, which loads once;
+	// sampled runs load every trial.
+	loaded bool
 }
 
-// fastSamplerTrials is the sampler fast worker loop: the run is drawn
-// per trial (that allocation is the sampler's), then executed on a
-// lazily built engine reused while the sampled horizon stays the same.
-// The sampler tape is a single reused Tape reseeded to the exact state
-// of runStream.Tape(trial, 0), so sampled runs match the reference path
-// bit for bit.
-func (e *estimator) fastSamplerTrials(local *tally, w, workers, lo, hi int) {
-	cfg := e.cfg
-	m := cfg.Graph.NumVertices()
-	var eng *sim.Engine
-	tape := rng.NewTape(0)
-	for trial := lo + w; trial < hi; trial += workers {
-		if e.ctx.Err() != nil {
-			return
-		}
-		e.runStream.Reseed(tape, uint64(trial), 0)
-		r, err := cfg.Sampler(uint64(trial), tape)
-		if err != nil {
-			e.fail(local, trial, fmt.Errorf("mc: sampling run for trial %d: %w", trial, err))
-			continue
-		}
-		if eng == nil || eng.N() != r.N() {
-			eng, err = sim.NewEngine(cfg.Protocol, cfg.Graph, r.N())
-			if err != nil {
-				e.fail(local, trial, fmt.Errorf("mc: trial %d: %w", trial, err))
-				continue
-			}
-		}
-		if err := eng.LoadRun(r); err != nil {
-			e.fail(local, trial, fmt.Errorf("mc: trial %d: %w", trial, err))
-			continue
-		}
-		outs, err := eng.Trial(e.protoStream, uint64(trial))
-		if err != nil {
-			e.fail(local, trial, fmt.Errorf("mc: trial %d: %w", trial, err))
-			continue
-		}
-		e.record(local, outs, m)
+// execute runs one trial of p on r: on the worker's engine, rebuilt only
+// when a sampled horizon changes, or through the reference executor.
+// Both use the tapes of protoStream.Tape(trial, ·). The engine's steady
+// state allocates nothing (the alloc-regression tests pin it).
+func (e *estimator) execute(wk *worker, p protocol.Protocol, r *run.Run, trial uint64) ([]bool, error) {
+	if !e.fast {
+		return sim.Outputs(p, e.cfg.Graph, r, sim.StreamTapes(e.protoStream, trial))
 	}
+	if wk.eng == nil || wk.eng.N() != r.N() {
+		eng, err := sim.NewEngine(p, e.cfg.Graph, r.N())
+		if err != nil {
+			return nil, err
+		}
+		wk.eng, wk.loaded = eng, false
+	}
+	if !wk.loaded {
+		if err := wk.eng.LoadRun(r); err != nil {
+			return nil, err
+		}
+		wk.loaded = e.cfg.Sampler == nil
+	}
+	return wk.eng.Trial(e.protoStream, trial)
 }

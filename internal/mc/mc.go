@@ -30,7 +30,6 @@ import (
 	"coordattack/internal/protocol"
 	"coordattack/internal/rng"
 	"coordattack/internal/run"
-	"coordattack/internal/sim"
 	"coordattack/internal/stats"
 )
 
@@ -94,12 +93,11 @@ type Config struct {
 	// evaluations; 0 means every 1000 trials. Smaller batches stop closer
 	// to the target at the cost of more synchronization barriers.
 	CheckEvery int
-	// Reference forces the reference (allocating) execution path even
-	// when the protocol has a zero-alloc fast state. The fast path is
-	// bit-identical to the reference by construction — the differential
-	// suite runs every job both ways and compares Result JSON — so the
-	// only reason to set this is that comparison itself.
-	Reference bool
+
+	// reference forces the reference execution path even when the
+	// protocol has a zero-alloc engine. Only the differential suite sets
+	// it, to compare the two paths.
+	reference bool
 }
 
 // Snapshot is one progress observation of a running job: how many of
@@ -210,27 +208,12 @@ func (t *tally) merge(o *tally) {
 	t.errs = append(t.errs, o.errs...)
 }
 
-// tallyPool recycles per-worker tallies across ranges so the adaptive
-// stopping loop (one runRange per CheckEvery batch) does not allocate a
-// fresh tally and attacks slice per batch per worker.
-var tallyPool = sync.Pool{New: func() any { return new(tally) }}
-
-func getTally(m int) *tally {
-	t := tallyPool.Get().(*tally)
-	if cap(t.attacks) < m+1 {
-		t.attacks = make([]int, m+1)
-	}
-	t.attacks = t.attacks[:m+1]
-	for i := range t.attacks {
-		t.attacks[i] = 0
-	}
+func (t *tally) reset() {
+	clear(t.attacks)
 	t.ta, t.pa, t.na = 0, 0, 0
 	t.completed, t.failed = 0, 0
 	t.errs = t.errs[:0]
-	return t
 }
-
-func putTally(t *tally) { tallyPool.Put(t) }
 
 // z95 is the 95% normal quantile used by the default stopping rule.
 const z95 = 1.959963984540054
@@ -254,20 +237,19 @@ func widestWilsonWidth(r *Result) float64 {
 // tally. It exists so the adaptive early-stopping path can run the same
 // deterministic trial loop over successive ranges.
 type estimator struct {
-	cfg     Config
-	ctx     context.Context
-	cancel  context.CancelFunc
-	workers int
+	cfg    Config
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	protoStream rng.Stream
 	runStream   rng.Stream
 
-	// Fast path (see fast.go): pool is set for fixed-run jobs whose
-	// protocol has a zero-alloc engine; fastSampler marks sampler jobs
-	// whose workers build per-horizon engines lazily. Both nil/false
-	// means every trial goes through the reference engine.
-	pool        *sim.EnginePool
-	fastSampler bool
+	// fast marks jobs that run on zero-alloc engines (see fast.go).
+	fast bool
+	// ws holds one worker per trial goroutine. Workers outlive a
+	// batch, so an adaptive job keeps its engines and scratch from one
+	// CheckEvery batch to the next.
+	ws []*worker
 
 	// failures counts failed trials across workers; passing MaxFailures
 	// trips the breaker and cancels the siblings.
@@ -337,9 +319,11 @@ func (e *estimator) record(local *tally, outs []bool, m int) {
 	e.tick()
 }
 
-// referenceTrials is the reference worker loop: trials lo+w, lo+w+workers,
-// ... < hi through sim.Outputs with freshly built machines and tapes.
-func (e *estimator) referenceTrials(local *tally, w, workers, lo, hi int) {
+// trials is the worker loop: trials lo+w, lo+w+workers, ... < hi. Each
+// trial takes its run (the fixed one, or a sample drawn from the worker's
+// tape reseeded to runStream.Tape(trial, 0)), executes it, and books the
+// outcome or the failure.
+func (e *estimator) trials(wk *worker, w, workers, lo, hi int) {
 	cfg := e.cfg
 	m := cfg.Graph.NumVertices()
 	for trial := lo + w; trial < hi; trial += workers {
@@ -348,64 +332,57 @@ func (e *estimator) referenceTrials(local *tally, w, workers, lo, hi int) {
 		}
 		r := cfg.Run
 		if cfg.Sampler != nil {
+			e.runStream.Reseed(wk.tape, uint64(trial), 0)
 			var err error
-			r, err = cfg.Sampler(uint64(trial), e.runStream.Tape(uint64(trial), 0))
-			if err != nil {
-				e.fail(local, trial, fmt.Errorf("mc: sampling run for trial %d: %w", trial, err))
+			if r, err = cfg.Sampler(uint64(trial), wk.tape); err != nil {
+				e.fail(&wk.local, trial, fmt.Errorf("mc: sampling run for trial %d: %w", trial, err))
 				continue
 			}
 		}
 		p := cfg.Protocol
 		if cfg.Mutator != nil {
 			var err error
-			p, err = cfg.Mutator(uint64(trial), p)
-			if err != nil {
-				e.fail(local, trial, fmt.Errorf("mc: mutating protocol for trial %d: %w", trial, err))
+			if p, err = cfg.Mutator(uint64(trial), p); err != nil {
+				e.fail(&wk.local, trial, fmt.Errorf("mc: mutating protocol for trial %d: %w", trial, err))
 				continue
 			}
 		}
-		outs, err := sim.Outputs(p, cfg.Graph, r, sim.StreamTapes(e.protoStream, uint64(trial)))
+		outs, err := e.execute(wk, p, r, uint64(trial))
 		if err != nil {
-			e.fail(local, trial, fmt.Errorf("mc: trial %d: %w", trial, err))
+			e.fail(&wk.local, trial, fmt.Errorf("mc: trial %d: %w", trial, err))
 			continue
 		}
-		e.record(local, outs, m)
+		e.record(&wk.local, outs, m)
 	}
 }
 
-// runRange executes trials [lo, hi) on the worker pool and folds their
+// runRange executes trials [lo, hi) on the workers and folds their
 // tallies into the cumulative total. Trial t's tapes depend only on
 // (Seed, t) and the merge is order-independent, so the result of a range
 // is identical at any worker count and any batch decomposition — and
-// identical between the reference and fast worker loops, which the
+// identical between the engine and reference paths, which the
 // differential suite enforces.
 func (e *estimator) runRange(lo, hi int) {
 	m := e.cfg.Graph.NumVertices()
-	workers := e.workers
-	if workers > hi-lo {
-		workers = hi - lo
-	}
-	tallies := make([]*tally, workers)
+	workers := min(len(e.ws), hi-lo)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		tallies[w] = getTally(m)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			switch {
-			case e.pool != nil:
-				e.fastFixedTrials(tallies[w], w, workers, lo, hi)
-			case e.fastSampler:
-				e.fastSamplerTrials(tallies[w], w, workers, lo, hi)
-			default:
-				e.referenceTrials(tallies[w], w, workers, lo, hi)
+			// A worker and its engine are built on the worker's own
+			// goroutine: handing worker 0 an engine built by the caller
+			// measured about 40% slower at two workers.
+			if e.ws[w] == nil {
+				e.ws[w] = &worker{local: tally{attacks: make([]int, m+1)}, tape: rng.NewTape(0)}
 			}
+			e.ws[w].local.reset()
+			e.trials(e.ws[w], w, workers, lo, hi)
 		}(w)
 	}
 	wg.Wait()
-	for _, t := range tallies {
-		e.total.merge(t)
-		putTally(t)
+	for _, wk := range e.ws[:workers] {
+		e.total.merge(&wk.local)
 	}
 }
 
@@ -476,13 +453,13 @@ func Estimate(cfg Config) (*Result, error) {
 		cfg:         cfg,
 		ctx:         ctx,
 		cancel:      cancel,
-		workers:     workers,
 		protoStream: rng.NewStream(cfg.Seed),
 		runStream:   rng.NewStream(rng.Mix64(cfg.Seed ^ 0xc0ffee)),
+		fast:        fastPath(cfg),
+		ws:          make([]*worker, workers),
 		every:       every,
 		total:       &tally{attacks: make([]int, cfg.Graph.NumVertices()+1)},
 	}
-	e.pool, e.fastSampler = newFastPath(cfg)
 
 	stop := cfg.StopWhen
 	if stop == nil && cfg.TargetCIWidth > 0 {

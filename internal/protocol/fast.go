@@ -7,14 +7,15 @@ import (
 )
 
 // FastState is the struct-of-arrays execution surface behind the
-// zero-alloc trial engines. Where Machine models one process holding its
+// zero-alloc trial engine. Where Machine models one process holding its
 // own boxed messages, a FastState holds the state of all m processes at
 // once in flat arrays and advances them against a run.Set bitset —
 // no message values, no per-round slices, no allocation after
 // construction.
 //
-// The state is double-buffered by round parity. The contract engines rely
-// on (and the concurrent engine's race freedom depends on):
+// The state is double-buffered by round parity. Engines rely on this
+// contract, which also makes same-round steps of distinct processes
+// independent of each other:
 //
 //   - Init writes every process's round-0 state into the parity-0 buffer.
 //   - Step(rs, round, i) reads only round-1 parity state (any process)

@@ -327,6 +327,13 @@ func (s *Server) dispatchSweep(sw *Sweep) {
 				c.mu.Lock()
 				c.jobID = st.ID
 				c.mu.Unlock()
+				if sw.cancelled.Load() {
+					// A CancelSweep that read this cell's empty jobID
+					// while submit ran cancelled nothing. It sets the flag
+					// before reading ids, so whichever side looks second
+					// cancels the job; Cancel is idempotent.
+					_, _ = s.Cancel(st.ID)
+				}
 				if j, jerr := s.job(st.ID); jerr == nil {
 					jobs = append(jobs, j)
 				}

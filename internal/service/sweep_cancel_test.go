@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,6 +79,56 @@ func TestCancelSweepSettlesEveryCell(t *testing.T) {
 	}
 	if fin := waitState(t, s, job.ID, 10*time.Second); fin.State != StateDone {
 		t.Errorf("post-cancel job ended %s, want done", fin.State)
+	}
+}
+
+// gatedFS holds the first ReadFile after arming until release closes,
+// parking whoever made it inside a store lookup.
+type gatedFS struct {
+	store.FS
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (f *gatedFS) ReadFile(name string) ([]byte, error) {
+	if f.armed.CompareAndSwap(true, false) {
+		close(f.entered)
+		<-f.release
+	}
+	return f.FS.ReadFile(name)
+}
+
+// TestCancelSweepDuringSubmit lands a sweep cancel while the dispatcher
+// is inside submit for a cell: the cell's job is about to be queued but
+// its id is not yet recorded, so CancelSweep's fan-out cannot reach it.
+// The dispatcher must cancel that job itself once it records the id;
+// otherwise the cell runs its full budget and the sweep settles late.
+func TestCancelSweepDuringSubmit(t *testing.T) {
+	fs := &gatedFS{FS: store.DiskFS(), entered: make(chan struct{}), release: make(chan struct{})}
+	st, err := store.Open(t.TempDir(), store.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, Store: st})
+	defer drain(t, s)
+
+	fs.armed.Store(true)
+	sw, err := s.SubmitSweep(slowSweepSpec([]uint64{1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-fs.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("dispatcher never reached the store lookup")
+	}
+	if _, err := s.CancelSweep(sw.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(fs.release)
+	if fin := waitSweep(t, s, sw.ID, 3*time.Second); fin.State != StateCancelled {
+		t.Fatalf("sweep cancelled mid-submit ended %s, want cancelled", fin.State)
 	}
 }
 

@@ -11,10 +11,9 @@ import (
 	"coordattack/internal/run"
 )
 
-// The allocation-regression suite: the steady-state trial loop of both
-// fast engines must allocate nothing, so future PRs cannot silently
-// reintroduce per-trial garbage. AllocsPerRun reports the average across
-// all goroutines, which covers the concurrent engine's workers too.
+// The allocation-regression suite: the zero-alloc engine's steady-state
+// trial loop must allocate nothing, so future changes cannot silently
+// reintroduce per-trial garbage.
 
 func zeroAllocTrialLoop(t *testing.T, name string, trialFn func(trial uint64) error) {
 	t.Helper()
@@ -61,31 +60,6 @@ func TestEngineTrialZeroAlloc(t *testing.T) {
 			})
 		}
 	}
-}
-
-func TestConcurrentEngineTrialZeroAlloc(t *testing.T) {
-	const n = 10
-	g, err := graph.Complete(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := rng.NewStream(1992)
-	ce, err := NewConcurrentEngine(core.MustS(0.1), g, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ce.Close()
-	good, err := run.Good(g, n, g.Vertices()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ce.LoadRun(good); err != nil {
-		t.Fatal(err)
-	}
-	zeroAllocTrialLoop(t, "concurrent/s/complete4", func(trial uint64) error {
-		_, err := ce.Trial(stream, trial)
-		return err
-	})
 }
 
 // TestEngineResampledRunZeroAlloc covers the Monte-Carlo shape: a fresh

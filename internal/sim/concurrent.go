@@ -123,12 +123,3 @@ func ConcurrentOutputs(p protocol.Protocol, g *graph.G, r *run.Run, tapes Tapes)
 type nilPlaceholder struct{}
 
 func (nilPlaceholder) CAMessage() {}
-
-// ConcurrentOutcome is ConcurrentOutputs followed by classification.
-func ConcurrentOutcome(p protocol.Protocol, g *graph.G, r *run.Run, tapes Tapes) (protocol.Outcome, error) {
-	outs, err := ConcurrentOutputs(p, g, r, tapes)
-	if err != nil {
-		return 0, err
-	}
-	return protocol.Classify(outs), nil
-}

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"coordattack/internal/graph"
 	"coordattack/internal/protocol"
@@ -11,9 +10,9 @@ import (
 	"coordattack/internal/run"
 )
 
-// ErrNoFastPath is wrapped by NewEngine and NewConcurrentEngine when the
-// protocol or shape cannot use the zero-alloc path; callers classify with
-// errors.Is and fall back to the reference engines.
+// ErrNoFastPath is wrapped by NewEngine when the protocol or shape cannot
+// use the zero-alloc path; callers classify with errors.Is and fall back
+// to the reference engines.
 var ErrNoFastPath = errors.New("sim: no fast path")
 
 // Engine is the zero-alloc sequential trial engine. It owns every piece
@@ -28,9 +27,9 @@ var ErrNoFastPath = errors.New("sim: no fast path")
 // Outputs(p, g, r, StreamTapes(stream, trial)): same tape seeds, same
 // transition order, same outputs; the differential suite enforces it.
 //
-// An Engine is not safe for concurrent use; Monte-Carlo workers each own
-// one (see EnginePool). The slice returned by Trial is owned by the
-// engine and overwritten by the next trial.
+// An Engine is not safe for concurrent use; each Monte-Carlo worker owns
+// one. The slice returned by Trial is owned by the engine and
+// overwritten by the next trial.
 type Engine struct {
 	p     protocol.FastProtocol
 	g     *graph.G
@@ -70,9 +69,6 @@ func NewEngine(p protocol.Protocol, g *graph.G, n int) (*Engine, error) {
 	}, nil
 }
 
-// Graph reports the engine's graph.
-func (e *Engine) Graph() *graph.G { return e.g }
-
 // N reports the engine's horizon.
 func (e *Engine) N() int { return e.n }
 
@@ -96,15 +92,9 @@ func (e *Engine) RunSet() *run.Set { return e.rs }
 // Trial executes one trial of the loaded run with the tapes of
 // stream.Tape(trial, ·), reseeding the engine's bank from its seed page.
 // The returned slice (index 1..m) is reused by the next trial.
-func (e *Engine) Trial(stream rng.Stream, trial uint64) ([]bool, error) {
+func (e *Engine) Trial(stream rng.Stream, trial uint64) (outs []bool, err error) {
 	e.page.Ensure(stream, trial, e.m)
 	e.bank.ReseedFrom(&e.page, trial)
-	return e.TrialSeeded()
-}
-
-// TrialSeeded executes one trial with the bank as already seeded — the
-// entry point for callers that manage reseeding themselves.
-func (e *Engine) TrialSeeded() (outs []bool, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			outs, err = nil, &MachineError{
@@ -127,37 +117,3 @@ func (e *Engine) TrialSeeded() (outs []bool, err error) {
 	}
 	return e.outs, nil
 }
-
-// EnginePool recycles Engines for one (protocol, graph, horizon) shape
-// across Monte-Carlo worker ranges via sync.Pool: warm engines keep their
-// bitsets, banks, and pages, so a worker picking one up runs zero-alloc
-// from its first trial.
-type EnginePool struct {
-	pool sync.Pool
-}
-
-// NewEnginePool validates the shape by building one engine eagerly (so
-// callers learn about ErrNoFastPath up front) and seeds the pool with it.
-func NewEnginePool(p protocol.Protocol, g *graph.G, n int) (*EnginePool, error) {
-	first, err := NewEngine(p, g, n)
-	if err != nil {
-		return nil, err
-	}
-	ep := &EnginePool{pool: sync.Pool{New: func() any {
-		e, err := NewEngine(p, g, n)
-		if err != nil {
-			// NewEngine is deterministic in (p, g, n); it cannot fail here
-			// after succeeding above.
-			panic(err)
-		}
-		return e
-	}}}
-	ep.pool.Put(first)
-	return ep, nil
-}
-
-// Get returns a warm engine. Pair with Put.
-func (ep *EnginePool) Get() *Engine { return ep.pool.Get().(*Engine) }
-
-// Put returns an engine to the pool.
-func (ep *EnginePool) Put(e *Engine) { ep.pool.Put(e) }

@@ -1,10 +1,12 @@
 // Package sim executes protocols over runs.
 //
-// It provides two engines with identical semantics: a fast sequential
-// loop engine (the reference), and a concurrent engine with one goroutine
-// per general exchanging messages over channels with a barrier per round —
+// It provides two executors with identical semantics: a sequential loop
+// engine (the reference), and a concurrent engine with one goroutine per
+// general exchanging messages over channels with a barrier per round —
 // the natural Go rendering of the synchronous model. Property tests drive
-// both with identical (run, α) and require identical executions.
+// both with identical (run, α) and require identical executions. Engine
+// is the zero-alloc trial engine for protocols with a FastState; the
+// differential suites hold it to the loop engine bit for bit.
 //
 // Per §2 of the paper: in every round 1..N every process sends a message
 // to every neighbor (σ_i), the run decides which are delivered, and every
@@ -65,47 +67,10 @@ func newMachines(p protocol.Protocol, g *graph.G, r *run.Run, tapes Tapes) ([]pr
 }
 
 // Outputs runs the loop engine and returns only the decision vector
-// (index 1..m; index 0 unused). This is the fast path used by Monte-Carlo
-// estimation; it records no trace.
+// (index 1..m; index 0 unused). It records no trace; it is the reference
+// executor behind Monte-Carlo jobs without a zero-alloc engine.
 func Outputs(p protocol.Protocol, g *graph.G, r *run.Run, tapes Tapes) ([]bool, error) {
-	machines, err := newMachines(p, g, r, tapes)
-	if err != nil {
-		return nil, err
-	}
-	m := g.NumVertices()
-	inboxes := make([][]protocol.Received, m+1)
-	for round := 1; round <= r.N(); round++ {
-		for i := 1; i <= m; i++ {
-			inboxes[i] = inboxes[i][:0]
-		}
-		for i := 1; i <= m; i++ {
-			from := graph.ProcID(i)
-			for _, to := range g.Neighbors(from) {
-				msg, err := safeSend(p, machines[i], from, round, to)
-				if err != nil {
-					return nil, err
-				}
-				if r.Delivered(from, to, round) {
-					inboxes[to] = append(inboxes[to], protocol.Received{From: from, Msg: msg})
-				}
-			}
-		}
-		for i := 1; i <= m; i++ {
-			sortReceived(inboxes[i])
-			if err := safeStep(p, machines[i], graph.ProcID(i), round, inboxes[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	outs := make([]bool, m+1)
-	for i := 1; i <= m; i++ {
-		out, err := safeOutput(p, machines[i], graph.ProcID(i))
-		if err != nil {
-			return nil, err
-		}
-		outs[i] = out
-	}
-	return outs, nil
+	return loop(p, g, r, tapes, nil)
 }
 
 // Outcome runs the loop engine and classifies the result.
@@ -121,10 +86,6 @@ func Outcome(p protocol.Protocol, g *graph.G, r *run.Run, tapes Tapes) (protocol
 // process and round, every sent message with its delivery fate and every
 // received message — the paper's (E_i) vector.
 func Execute(p protocol.Protocol, g *graph.G, r *run.Run, tapes Tapes) (*protocol.Execution, error) {
-	machines, err := newMachines(p, g, r, tapes)
-	if err != nil {
-		return nil, err
-	}
 	m := g.NumVertices()
 	exec := &protocol.Execution{N: r.N(), Locals: make([]protocol.LocalExecution, m+1)}
 	for i := 1; i <= m; i++ {
@@ -134,21 +95,47 @@ func Execute(p protocol.Protocol, g *graph.G, r *run.Run, tapes Tapes) (*protoco
 			Rounds: make([]protocol.RoundRecord, r.N()),
 		}
 	}
+	outs, err := loop(p, g, r, tapes, exec)
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i <= m; i++ {
+		exec.Locals[i].Output = outs[i]
+	}
+	return exec, nil
+}
+
+// loop is the loop engine: in every round each process sends to each
+// neighbor, the run decides which messages are delivered, and each
+// process steps on its delivered set sorted by sender. When exec is
+// non-nil the rounds are also recorded into it.
+func loop(p protocol.Protocol, g *graph.G, r *run.Run, tapes Tapes, exec *protocol.Execution) ([]bool, error) {
+	machines, err := newMachines(p, g, r, tapes)
+	if err != nil {
+		return nil, err
+	}
+	m := g.NumVertices()
 	inboxes := make([][]protocol.Received, m+1)
 	for round := 1; round <= r.N(); round++ {
 		for i := 1; i <= m; i++ {
-			inboxes[i] = nil // fresh slices: the trace retains them
+			if exec != nil {
+				inboxes[i] = nil // fresh slices: the trace retains them
+			} else {
+				inboxes[i] = inboxes[i][:0]
+			}
 		}
 		for i := 1; i <= m; i++ {
 			from := graph.ProcID(i)
-			rec := &exec.Locals[i].Rounds[round-1]
 			for _, to := range g.Neighbors(from) {
 				msg, err := safeSend(p, machines[i], from, round, to)
 				if err != nil {
 					return nil, err
 				}
 				delivered := r.Delivered(from, to, round)
-				rec.Sent = append(rec.Sent, protocol.SentRecord{To: to, Msg: msg, Delivered: delivered})
+				if exec != nil {
+					rec := &exec.Locals[i].Rounds[round-1]
+					rec.Sent = append(rec.Sent, protocol.SentRecord{To: to, Msg: msg, Delivered: delivered})
+				}
 				if delivered {
 					inboxes[to] = append(inboxes[to], protocol.Received{From: from, Msg: msg})
 				}
@@ -156,20 +143,23 @@ func Execute(p protocol.Protocol, g *graph.G, r *run.Run, tapes Tapes) (*protoco
 		}
 		for i := 1; i <= m; i++ {
 			sortReceived(inboxes[i])
-			exec.Locals[i].Rounds[round-1].Received = inboxes[i]
+			if exec != nil {
+				exec.Locals[i].Rounds[round-1].Received = inboxes[i]
+			}
 			if err := safeStep(p, machines[i], graph.ProcID(i), round, inboxes[i]); err != nil {
 				return nil, err
 			}
 		}
 	}
+	outs := make([]bool, m+1)
 	for i := 1; i <= m; i++ {
 		out, err := safeOutput(p, machines[i], graph.ProcID(i))
 		if err != nil {
 			return nil, err
 		}
-		exec.Locals[i].Output = out
+		outs[i] = out
 	}
-	return exec, nil
+	return outs, nil
 }
 
 func sortReceived(rs []protocol.Received) {

@@ -277,21 +277,6 @@ func TestEnginesAgreeOnRandomRuns(t *testing.T) {
 	}
 }
 
-func TestConcurrentOutcome(t *testing.T) {
-	g := graph.Pair()
-	good, err := run.Good(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oc, err := ConcurrentOutcome(echoProto{}, g, good, SeedTapes(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oc != protocol.TotalAttack {
-		t.Errorf("outcome = %v, want TA", oc)
-	}
-}
-
 func TestExecuteDeterministic(t *testing.T) {
 	g, err := graph.Ring(5)
 	if err != nil {
