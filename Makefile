@@ -38,7 +38,8 @@ bench-check:
 
 # Non-test line count per package of this module (coordperf is its own
 # module and stays out): non-blank lines that do not start with //, in
-# the package's non-_test.go files, then the total. Informational only.
+# the package's non-_test.go files, then the total, then how many flags
+# coordd's own usage text lists. Informational only.
 loc:
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
 		awk '{ n = 0; \
@@ -48,6 +49,7 @@ loc:
 			} \
 			printf "%7d  %s\n", n, $$1; t += n } \
 		END { printf "%7d  total\n", t }'
+	@echo "coordd flags $$($(GO) run ./cmd/coordd -h 2>&1 | grep -c '^  -')"
 
 # Full-fidelity reproduction report (EXPERIMENTS.md body).
 report:

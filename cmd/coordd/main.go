@@ -49,14 +49,12 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) int {
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8344", "listen address")
 		workers      = fs.Int("workers", 2, "concurrent jobs")
-		trialWorkers = fs.Int("trial-workers", 0, "Monte-Carlo parallelism per job (0 = GOMAXPROCS/workers, min 1)")
 		queueDepth   = fs.Int("queue", 64, "submission queue depth (full queue answers 429)")
 		cacheSize    = fs.Int("cache", 1024, "result cache entries")
 		jobTimeout   = fs.Duration("job-timeout", 5*time.Minute, "per-job deadline")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "shutdown grace period before in-flight jobs are cancelled")
 		storeDir     = fs.String("store-dir", "", "on-disk result store directory; empty = memory-only (results die with the process)")
 		queueDir     = fs.String("queue-dir", "", "on-disk pending-queue journal directory; empty = accepted-but-unstarted jobs die with the process")
-		fairShare    = fs.Bool("fair-share", true, "fair-share scheduling across submitters and sweeps (false = strict global FIFO)")
 		interWeight  = fs.Int("interactive-weight", 1, "interactive pops per sweep pop in the fair scheduler")
 		storeMax     = fs.Int64("store-max-bytes", 1<<30, "result store size budget in bytes (0 = unlimited)")
 		storeProbe   = fs.Duration("store-probe", 10*time.Second, "degraded-store recovery probe interval (0 = never probe; rescan still recovers)")
@@ -70,7 +68,6 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) int {
 		stealEvery   = fs.Duration("steal-interval", time.Second, "idle-node work-stealing poll interval (0 = stealing off)")
 		replicas     = fs.Int("replicas", 2, "replication factor: ring members holding each result (owner + successors)")
 		repairEvery  = fs.Duration("repair-interval", 5*time.Second, "anti-entropy replica repair interval (0 = repair off; needs -store-dir)")
-		repairBudget = fs.Duration("repair-timeout", 0, "per-pass budget for an anti-entropy repair pass (0 = derived from -repair-interval)")
 		probeEvery   = fs.Duration("probe-interval", time.Second, "peer failure-detector heartbeat interval (0 = detector off)")
 		probeMisses  = fs.Int("probe-misses", 3, "consecutive missed heartbeats before a peer is declared dead")
 		hintMax      = fs.Int64("hint-max-bytes", 64<<20, "hinted-handoff log size budget in bytes; oldest hints shed past it (0 = unlimited)")
@@ -80,10 +77,6 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) int {
 	}
 	if *workers < 1 || *queueDepth < 1 || *cacheSize < 1 || *jobTimeout <= 0 || *drainTimeout <= 0 {
 		fmt.Fprintln(os.Stderr, "coordd: workers, queue, cache, job-timeout and drain-timeout must be positive")
-		return 2
-	}
-	if *trialWorkers < 0 {
-		fmt.Fprintln(os.Stderr, "coordd: trial-workers must be >= 0 (0 = auto)")
 		return 2
 	}
 	if *storeMax < 0 || *sweepKeep < 1 || *storeProbe < 0 {
@@ -102,8 +95,8 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) int {
 		fmt.Fprintln(os.Stderr, "coordd: peer-timeout must be > 0 and steal-interval >= 0")
 		return 2
 	}
-	if *replicas < 1 || *repairEvery < 0 || *repairBudget < 0 {
-		fmt.Fprintln(os.Stderr, "coordd: replicas must be >= 1, repair-interval and repair-timeout >= 0")
+	if *replicas < 1 || *repairEvery < 0 {
+		fmt.Fprintln(os.Stderr, "coordd: replicas must be >= 1 and repair-interval >= 0")
 		return 2
 	}
 	if *probeEvery < 0 || *probeMisses < 1 || *hintMax < 0 {
@@ -253,9 +246,7 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) int {
 	}
 	srv := service.New(service.Config{
 		Workers:           *workers,
-		TrialWorkers:      *trialWorkers,
 		QueueDepth:        *queueDepth,
-		StrictFIFO:        !*fairShare,
 		InteractiveWeight: *interWeight,
 		CacheSize:         *cacheSize,
 		JobTimeout:        *jobTimeout,
@@ -268,7 +259,6 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) int {
 		Cluster:           cl,
 		StealInterval:     stealInterval,
 		RepairInterval:    repairInterval,
-		RepairTimeout:     *repairBudget,
 		Hints:             hl,
 		ProbeInterval:     probeInterval,
 		ProbeMisses:       *probeMisses,

@@ -324,7 +324,6 @@ func TestDaemonBadClusterFlags(t *testing.T) {
 		{"-peers", "127.0.0.1:1"},            // peer set collapses to self-only
 		{"-replicas", "0"},
 		{"-repair-interval", "-1s"},
-		{"-repair-timeout", "-1s"},
 		{"-probe-interval", "-1s"},
 		{"-probe-misses", "0"},
 		{"-hint-max-bytes", "-1"},

@@ -113,8 +113,9 @@ func (n *soakClusterNode) boot(peers []string, cfg service.Config, plan NetPlan,
 	if err != nil {
 		n.t.Fatalf("%s: peer net: %v", n.name, err)
 	}
-	// Sever before service.New: its failure detector pings every peer at
-	// once, and could deliver hints before a later Sever landed.
+	// Sever before service.New: its failure detector pings every peer one
+	// probe interval later, and could deliver hints before a later Sever
+	// landed.
 	for _, host := range n.severed {
 		pn.Sever(host)
 	}

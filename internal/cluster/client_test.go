@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,8 +17,6 @@ type fakePeer struct {
 	results    map[string][]byte
 	grant      []StolenJob
 	gets       atomic.Int64
-	puts       atomic.Int64
-	steals     atomic.Int64
 	lastCommit atomic.Value // CommitRequest
 }
 
@@ -34,12 +33,7 @@ func (f *fakePeer) handler() http.Handler {
 		}
 		w.Write(body)
 	})
-	mux.HandleFunc("PUT "+ResultsPathPrefix+"{key}", func(w http.ResponseWriter, r *http.Request) {
-		f.puts.Add(1)
-		w.WriteHeader(http.StatusNoContent)
-	})
 	mux.HandleFunc("POST "+StealPath, func(w http.ResponseWriter, r *http.Request) {
-		f.steals.Add(1)
 		var req StealRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		json.NewEncoder(w).Encode(StealResponse{Jobs: f.grant})
@@ -108,7 +102,7 @@ func TestFetchResultConsultsReplicaSet(t *testing.T) {
 	// members and the default factor 2 both are in every replica set.
 	var peerKey, selfKey string
 	for _, k := range randomKeys(200, 21) {
-		if c.OwnsLocally(k) {
+		if c.Owner(k) == c.Self() {
 			selfKey = k
 		} else {
 			peerKey = k
@@ -233,42 +227,6 @@ func TestStealFromGrants(t *testing.T) {
 	}
 }
 
-func TestPushResultFansOutToReplicaSet(t *testing.T) {
-	fp := &fakePeer{}
-	srv := httptest.NewServer(fp.handler())
-	defer srv.Close()
-	c, err := New(Options{Self: "http://self.invalid:1", Peers: []string{srv.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var peerKey, selfKey string
-	for _, k := range randomKeys(200, 23) {
-		if c.OwnsLocally(k) {
-			selfKey = k
-		} else {
-			peerKey = k
-		}
-		if peerKey != "" && selfKey != "" {
-			break
-		}
-	}
-	// Factor 2 over two members: every key's replica set is both nodes,
-	// so each push fans out to the single non-self replica regardless of
-	// which arc owns the key.
-	if n := c.PushResult(context.Background(), peerKey, []byte("b")); n != 1 {
-		t.Fatalf("peer-owned push count = %d, want 1", n)
-	}
-	if n := c.PushResult(context.Background(), selfKey, []byte("b")); n != 1 {
-		t.Fatalf("self-owned push count = %d, want 1 (successor copy)", n)
-	}
-	if got := fp.puts.Load(); got != 2 {
-		t.Fatalf("peer saw %d PUTs, want 2", got)
-	}
-	if n := reqCount(c.Snapshot(), "replicate", "ok"); n != 2 {
-		t.Fatalf("replicate ok count = %d, want 2", n)
-	}
-}
-
 func TestHasResultAndKnowsJob(t *testing.T) {
 	fp := &fakePeer{results: map[string][]byte{"held": []byte("x")}}
 	srv := httptest.NewServer(fp.handler())
@@ -338,5 +296,121 @@ func TestNewValidation(t *testing.T) {
 	}
 	if c.Self() != "http://a:1" {
 		t.Fatalf("self = %s", c.Self())
+	}
+	// Two spellings of one peer are one ring member: the replication
+	// factor clamps against the two distinct members, not three entries.
+	c, err = New(Options{Self: "a:1", Peers: []string{"a:1", "b:1", "http://b:1/"}, Factor: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Factor() != 2 || c.Snapshot().Factor != 2 {
+		t.Fatalf("factor = %d (snapshot %d) on a two-member ring, want 2", c.Factor(), c.Snapshot().Factor)
+	}
+}
+
+// TestPeerCallBookkeeping pins how every peer call books what a peer
+// answered: whether an error comes back, the one {op,outcome} counter
+// that moves, the breaker's consecutive-failure count, and whether the
+// request reached the peer at all. Each call meets five peers: one that
+// answers 200, one that answers 404, one that answers 503, a closed
+// listener, and a live peer whose breaker is already open (threshold 1,
+// one recorded failure) — which only a ping may get through.
+func TestPeerCallBookkeeping(t *testing.T) {
+	ctx := context.Background()
+	key := strings.Repeat("ab", 32)
+	calls := []struct {
+		op   string
+		call func(c *Cluster, addr string) error
+		want [5]string // outcome against 200, 404, 503, dead, open
+	}{
+		{"results", func(c *Cluster, addr string) error {
+			_, _, err := c.FetchFrom(ctx, addr, key)
+			return err
+		}, [5]string{"hit", "miss", "error", "error", "open"}},
+		{"replicate", func(c *Cluster, addr string) error {
+			return c.PushTo(ctx, addr, key, []byte(`{}`))
+		}, [5]string{"ok", "error", "error", "error", "open"}},
+		{"probe", func(c *Cluster, addr string) error {
+			_, err := c.HasResult(ctx, addr, key)
+			return err
+		}, [5]string{"hit", "miss", "error", "error", "open"}},
+		{"steal", func(c *Cluster, addr string) error {
+			_, err := c.StealFrom(ctx, addr, 1)
+			return err
+		}, [5]string{"miss", "error", "error", "error", "open"}},
+		{"commit", func(c *Cluster, addr string) error {
+			return c.CommitSteal(ctx, addr, []string{key})
+		}, [5]string{"ok", "error", "error", "error", "open"}},
+		{"jobs", func(c *Cluster, addr string) error {
+			_, err := c.KnowsJob(ctx, addr, key)
+			return err
+		}, [5]string{"hit", "miss", "error", "error", "open"}},
+		{"ping", func(c *Cluster, addr string) error {
+			_, err := c.Ping(ctx, addr, 3)
+			return err
+		}, [5]string{"ok", "ok", "error", "error", "ok"}},
+	}
+	// Every live peer answers any path with its status; a 200 carries an
+	// empty steal grant, which is also a well-formed result body.
+	serve := func(status int, hits *atomic.Int64) *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			w.WriteHeader(status)
+			if status == http.StatusOK {
+				w.Write([]byte(`{"jobs":[]}`))
+			}
+		}))
+	}
+	cases := []struct {
+		name   string
+		status int
+	}{{"200", http.StatusOK}, {"404", http.StatusNotFound}, {"503", http.StatusServiceUnavailable}, {"dead", http.StatusOK}, {"open", http.StatusOK}}
+	for _, cl := range calls {
+		for i, cs := range cases {
+			var hits atomic.Int64
+			srv := serve(cs.status, &hits)
+			if cs.name == "dead" {
+				srv.Close()
+			}
+			c, err := New(Options{
+				Self:             "http://self.invalid:1",
+				Peers:            []string{srv.URL},
+				Timeout:          time.Second,
+				BreakerThreshold: 1,
+				BreakerCooldown:  time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			br := c.peers[NormalizeAddr(srv.URL)].breaker
+			if cs.name == "open" {
+				br.Failure()
+			}
+			want := cl.want[i]
+			err = cl.call(c, srv.URL)
+			srv.Close()
+			label := cl.op + "/" + cs.name
+			clean := want == "hit" || want == "miss" || want == "ok"
+			if clean != (err == nil) {
+				t.Errorf("%s: err = %v, want outcome %q", label, err, want)
+			}
+			if reqs := c.Snapshot().Requests; len(reqs) != 1 || reqs[0].Op != cl.op || reqs[0].Outcome != want || reqs[0].Count != 1 {
+				t.Errorf("%s: counters = %+v, want one %s/%s", label, reqs, cl.op, want)
+			}
+			wantFails := 1
+			if clean {
+				wantFails = 0
+			}
+			if got := br.Failures(); got != wantFails {
+				t.Errorf("%s: breaker failures = %d, want %d", label, got, wantFails)
+			}
+			wantHits := int64(1)
+			if want == "open" || cs.name == "dead" {
+				wantHits = 0
+			}
+			if got := hits.Load(); got != wantHits {
+				t.Errorf("%s: peer saw %d requests, want %d", label, got, wantHits)
+			}
+		}
 	}
 }

@@ -78,9 +78,6 @@ type Options struct {
 	// appear in the list (operators pass one identical -peers flag to
 	// every node) and is filtered out of the dial set.
 	Peers []string
-	// VNodes is the virtual-node count per peer; <= 0 means
-	// DefaultVNodes.
-	VNodes int
 	// Factor is the replication factor: how many distinct ring members
 	// (owner first, then clockwise successors) hold each result. <= 0
 	// means DefaultFactor; values above the member count are clamped.
@@ -124,23 +121,16 @@ type reqKey struct{ peer, op, outcome string }
 // Cluster is the node-local cluster view: the ring, the dialable peers,
 // their breakers, and the request counters. Safe for concurrent use.
 type Cluster struct {
-	self    string
-	vnodes  int
-	factor  int
-	ring    *Ring
-	peers   map[string]*peer // addr → peer, self excluded
-	order   []string         // sorted peer addrs, self excluded
-	client  *http.Client
-	timeout time.Duration
-	logf    func(string, ...any)
+	self   string
+	factor int
+	ring   *Ring
+	peers  map[string]*peer // addr → peer, self excluded
+	order  []string         // sorted peer addrs, self excluded
+	client *http.Client
+	logf   func(string, ...any)
 
 	mu   sync.Mutex
 	reqs map[reqKey]int64
-
-	// Failure detector loop state, guarded by mu.
-	detStop   chan struct{}
-	detDone   chan struct{}
-	detMisses int
 }
 
 // NormalizeAddr canonicalizes a peer address: trims space and trailing
@@ -164,15 +154,11 @@ func New(opts Options) (*Cluster, error) {
 	if self == "" {
 		return nil, fmt.Errorf("cluster: empty self (advertise) address")
 	}
-	members := []string{self}
+	// Spellings of one address normalize to one entry here, so the ring
+	// members — self plus this map's keys — are distinct.
 	peers := make(map[string]*peer)
 	for _, p := range opts.Peers {
-		addr := NormalizeAddr(p)
-		if addr == "" || addr == self {
-			continue
-		}
-		members = append(members, addr)
-		if _, ok := peers[addr]; !ok {
+		if addr := NormalizeAddr(p); addr != "" && addr != self && peers[addr] == nil {
 			peers[addr] = &peer{
 				addr:    addr,
 				breaker: newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.now),
@@ -190,10 +176,12 @@ func New(opts Options) (*Cluster, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	vnodes := opts.VNodes
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
+	order := make([]string, 0, len(peers))
+	for addr := range peers {
+		order = append(order, addr)
 	}
+	sort.Strings(order)
+	members := append([]string{self}, order...)
 	factor := opts.Factor
 	if factor <= 0 {
 		factor = DefaultFactor
@@ -201,22 +189,15 @@ func New(opts Options) (*Cluster, error) {
 	if factor > len(members) {
 		factor = len(members)
 	}
-	order := make([]string, 0, len(peers))
-	for addr := range peers {
-		order = append(order, addr)
-	}
-	sort.Strings(order)
 	return &Cluster{
-		self:    self,
-		vnodes:  vnodes,
-		factor:  factor,
-		ring:    NewRing(members, vnodes),
-		peers:   peers,
-		order:   order,
-		client:  &http.Client{Timeout: timeout, Transport: opts.Transport},
-		timeout: timeout,
-		logf:    logf,
-		reqs:    make(map[reqKey]int64),
+		self:   self,
+		factor: factor,
+		ring:   NewRing(members, DefaultVNodes),
+		peers:  peers,
+		order:  order,
+		client: &http.Client{Timeout: timeout, Transport: opts.Transport},
+		logf:   logf,
+		reqs:   make(map[reqKey]int64),
 	}, nil
 }
 
@@ -226,9 +207,6 @@ func (c *Cluster) Self() string { return c.self }
 // Owner returns the ring owner of key (possibly self).
 func (c *Cluster) Owner(key string) string { return c.ring.Owner(key) }
 
-// OwnsLocally reports whether this node is key's ring owner.
-func (c *Cluster) OwnsLocally(key string) bool { return c.ring.Owner(key) == c.self }
-
 // Factor returns the effective replication factor.
 func (c *Cluster) Factor() int { return c.factor }
 
@@ -236,17 +214,6 @@ func (c *Cluster) Factor() int { return c.factor }
 // distinct clockwise successors, Factor peers in total (fewer when the
 // ring is smaller). Every node computes the same set for a key.
 func (c *Cluster) ReplicaSet(key string) []string { return c.ring.Owners(key, c.factor) }
-
-// HoldsKey reports whether this node is in key's replica set — i.e.
-// whether the replication protocol wants a copy of key's result here.
-func (c *Cluster) HoldsKey(key string) bool {
-	for _, addr := range c.ReplicaSet(key) {
-		if addr == c.self {
-			return true
-		}
-	}
-	return false
-}
 
 // PeerAddrs returns the dialable peers (self excluded), sorted.
 func (c *Cluster) PeerAddrs() []string {
@@ -298,190 +265,135 @@ func (c *Cluster) FetchResult(ctx context.Context, key string) ([]byte, string, 
 	return nil, "", false
 }
 
-// FetchFrom asks one specific peer for key's result bytes. It returns
+// call is the one peer round trip under every peer method. It resolves
+// the peer, asks its breaker for admission (pings skip the gate: probing
+// peers the breaker has written off is the detector's job), sends the
+// request, and reads at most maxResultBytes of the answer. classify maps
+// the answer to an outcome: "hit", "miss" or "ok" book a Success on the
+// breaker, "error" books a Failure, as do transport and read errors.
+// Either way one {op,outcome} count moves. call returns the outcome
+// ("open" when the breaker refused, "" when no request was made) and
+// the error for every outcome but hit, miss and ok.
+func (c *Cluster) call(ctx context.Context, peerAddr, op, method, path string, body []byte,
+	classify func(status int, body []byte) (string, error)) (string, error) {
+	p, ok := c.peers[NormalizeAddr(peerAddr)]
+	if !ok {
+		return "", fmt.Errorf("cluster: unknown peer %s", peerAddr)
+	}
+	if op != "ping" && !p.breaker.Allow() {
+		c.count(p.addr, op, "open")
+		return "open", fmt.Errorf("cluster: breaker open for %s", p.addr)
+	}
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, p.addr+path, rd)
+	if err != nil {
+		return "", err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	outcome := "error"
+	resp, err := c.client.Do(req)
+	if err == nil {
+		var answer []byte
+		answer, err = io.ReadAll(io.LimitReader(resp.Body, maxResultBytes+1))
+		resp.Body.Close()
+		if err == nil && len(answer) > maxResultBytes {
+			err = fmt.Errorf("cluster: answer from %s exceeds %d bytes", p.addr, maxResultBytes)
+		}
+		if err == nil {
+			if outcome, err = classify(resp.StatusCode, answer); outcome == "error" && err == nil {
+				err = fmt.Errorf("cluster: peer %s answered %d to %s", p.addr, resp.StatusCode, op)
+			}
+		}
+	}
+	if outcome == "error" {
+		p.breaker.Failure()
+	} else {
+		p.breaker.Success()
+	}
+	c.count(p.addr, op, outcome)
+	return outcome, err
+}
+
+// lookup classifies an existence answer: 200 is a hit, 404 a clean miss
+// (the peer is alive and has nothing), anything else an error.
+func lookup(status int, _ []byte) (string, error) {
+	switch status {
+	case http.StatusOK:
+		return "hit", nil
+	case http.StatusNotFound:
+		return "miss", nil
+	}
+	return "error", nil
+}
+
+// accepted classifies a write: any 2xx is ok.
+func accepted(status int, _ []byte) (string, error) {
+	if status/100 == 2 {
+		return "ok", nil
+	}
+	return "error", nil
+}
+
+// FetchFrom asks one peer for key's result bytes. It returns
 // (body, true, nil) on a hit, (nil, false, nil) on a clean miss (the
 // peer answered 404 — alive, no result yet), and (nil, false, err) on a
 // breaker-open short circuit or transport/protocol failure.
 func (c *Cluster) FetchFrom(ctx context.Context, peerAddr, key string) ([]byte, bool, error) {
-	p, ok := c.peers[NormalizeAddr(peerAddr)]
-	if !ok {
-		return nil, false, fmt.Errorf("cluster: unknown peer %s", peerAddr)
-	}
-	if !p.breaker.Allow() {
-		c.count(p.addr, "results", "open")
-		return nil, false, fmt.Errorf("cluster: breaker open for %s", p.addr)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.addr+ResultsPathPrefix+key, nil)
-	if err != nil {
+	var body []byte
+	outcome, err := c.call(ctx, peerAddr, "results", http.MethodGet, ResultsPathPrefix+key, nil,
+		func(status int, answer []byte) (string, error) {
+			body = answer
+			return lookup(status, answer)
+		})
+	if outcome != "hit" {
 		return nil, false, err
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		p.breaker.Failure()
-		c.count(p.addr, "results", "error")
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes+1))
-		if err != nil || len(body) > maxResultBytes {
-			p.breaker.Failure()
-			c.count(p.addr, "results", "error")
-			return nil, false, fmt.Errorf("cluster: reading result from %s: %v", p.addr, err)
-		}
-		p.breaker.Success()
-		c.count(p.addr, "results", "hit")
-		return body, true, nil
-	case http.StatusNotFound:
-		p.breaker.Success()
-		c.count(p.addr, "results", "miss")
-		return nil, false, nil
-	default:
-		p.breaker.Failure()
-		c.count(p.addr, "results", "error")
-		return nil, false, fmt.Errorf("cluster: peer %s answered %d", p.addr, resp.StatusCode)
-	}
-}
-
-// PushResult replicates a computed body to every member of key's
-// replica set except self — the ring owner and its distinct successors
-// — so any single node death loses no cached result. It returns how
-// many pushes succeeded. Best-effort: failures cost nothing but the
-// breaker bookkeeping (the body is already safe locally), and the
-// anti-entropy repair loop closes any gap later.
-func (c *Cluster) PushResult(ctx context.Context, key string, body []byte) int {
-	pushed := 0
-	for _, addr := range c.ReplicaSet(key) {
-		if addr == c.self {
-			continue
-		}
-		if err := c.PushTo(ctx, addr, key, body); err == nil {
-			pushed++
-		}
-	}
-	return pushed
+	return body, true, nil
 }
 
 // PushTo replicates a computed body to one specific peer.
 func (c *Cluster) PushTo(ctx context.Context, peerAddr, key string, body []byte) error {
-	p, ok := c.peers[NormalizeAddr(peerAddr)]
-	if !ok {
-		return fmt.Errorf("cluster: unknown peer %s", peerAddr)
+	outcome, err := c.call(ctx, peerAddr, "replicate", http.MethodPut, ResultsPathPrefix+key, body, accepted)
+	if outcome == "error" {
+		c.logf("cluster: replicating %s to %s: %v", key[:8], NormalizeAddr(peerAddr), err)
 	}
-	if !p.breaker.Allow() {
-		c.count(p.addr, "replicate", "open")
-		return fmt.Errorf("cluster: breaker open for %s", p.addr)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, p.addr+ResultsPathPrefix+key, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		p.breaker.Failure()
-		c.count(p.addr, "replicate", "error")
-		c.logf("cluster: replicating %s to %s: %v", key[:8], p.addr, err)
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		p.breaker.Failure()
-		c.count(p.addr, "replicate", "error")
-		c.logf("cluster: replicating %s to %s: status %d", key[:8], p.addr, resp.StatusCode)
-		return fmt.Errorf("cluster: peer %s answered %d", p.addr, resp.StatusCode)
-	}
-	p.breaker.Success()
-	c.count(p.addr, "replicate", "ok")
-	return nil
+	return err
 }
 
 // HasResult asks one peer whether it holds key's result, without
 // transferring the body (HEAD). The anti-entropy repair loop uses it to
 // probe replicas cheaply before pushing.
 func (c *Cluster) HasResult(ctx context.Context, peerAddr, key string) (bool, error) {
-	p, ok := c.peers[NormalizeAddr(peerAddr)]
-	if !ok {
-		return false, fmt.Errorf("cluster: unknown peer %s", peerAddr)
-	}
-	if !p.breaker.Allow() {
-		c.count(p.addr, "probe", "open")
-		return false, fmt.Errorf("cluster: breaker open for %s", p.addr)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, p.addr+ResultsPathPrefix+key, nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		p.breaker.Failure()
-		c.count(p.addr, "probe", "error")
-		return false, err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		p.breaker.Success()
-		c.count(p.addr, "probe", "hit")
-		return true, nil
-	case http.StatusNotFound:
-		p.breaker.Success()
-		c.count(p.addr, "probe", "miss")
-		return false, nil
-	default:
-		p.breaker.Failure()
-		c.count(p.addr, "probe", "error")
-		return false, fmt.Errorf("cluster: peer %s answered %d", p.addr, resp.StatusCode)
-	}
+	outcome, err := c.call(ctx, peerAddr, "probe", http.MethodHead, ResultsPathPrefix+key, nil, lookup)
+	return outcome == "hit", err
 }
 
 // StealFrom asks one peer to hand over up to want pending jobs. An
 // empty grant is a normal outcome (the peer is not overloaded), not a
 // failure.
 func (c *Cluster) StealFrom(ctx context.Context, peerAddr string, want int) ([]StolenJob, error) {
-	p, ok := c.peers[NormalizeAddr(peerAddr)]
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown peer %s", peerAddr)
-	}
-	if !p.breaker.Allow() {
-		c.count(p.addr, "steal", "open")
-		return nil, fmt.Errorf("cluster: breaker open for %s", p.addr)
-	}
-	reqBody, err := json.Marshal(StealRequest{Want: want, Thief: c.self})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.addr+StealPath, bytes.NewReader(reqBody))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		p.breaker.Failure()
-		c.count(p.addr, "steal", "error")
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		p.breaker.Failure()
-		c.count(p.addr, "steal", "error")
-		return nil, fmt.Errorf("cluster: peer %s answered %d to steal", p.addr, resp.StatusCode)
-	}
+	reqBody, _ := json.Marshal(StealRequest{Want: want, Thief: c.self}) // an int and a string cannot fail to marshal
 	var grant StealResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxResultBytes)).Decode(&grant); err != nil {
-		p.breaker.Failure()
-		c.count(p.addr, "steal", "error")
+	_, err := c.call(ctx, peerAddr, "steal", http.MethodPost, StealPath, reqBody,
+		func(status int, answer []byte) (string, error) {
+			if status != http.StatusOK {
+				return "error", nil
+			}
+			if err := json.Unmarshal(answer, &grant); err != nil {
+				return "error", err
+			}
+			if len(grant.Jobs) > 0 {
+				return "hit", nil
+			}
+			return "miss", nil
+		})
+	if err != nil {
 		return nil, err
-	}
-	p.breaker.Success()
-	if len(grant.Jobs) > 0 {
-		c.count(p.addr, "steal", "hit")
-	} else {
-		c.count(p.addr, "steal", "miss")
 	}
 	return grant.Jobs, nil
 }
@@ -492,39 +404,9 @@ func (c *Cluster) StealFrom(ctx context.Context, peerAddr string, want int) ([]S
 // failure the victim keeps its intent records and its follower/replay
 // machinery guarantees the jobs still run somewhere.
 func (c *Cluster) CommitSteal(ctx context.Context, victimAddr string, keys []string) error {
-	p, ok := c.peers[NormalizeAddr(victimAddr)]
-	if !ok {
-		return fmt.Errorf("cluster: unknown peer %s", victimAddr)
-	}
-	if !p.breaker.Allow() {
-		c.count(p.addr, "commit", "open")
-		return fmt.Errorf("cluster: breaker open for %s", p.addr)
-	}
-	reqBody, err := json.Marshal(CommitRequest{Thief: c.self, Keys: keys})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.addr+StealCommitPath, bytes.NewReader(reqBody))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		p.breaker.Failure()
-		c.count(p.addr, "commit", "error")
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		p.breaker.Failure()
-		c.count(p.addr, "commit", "error")
-		return fmt.Errorf("cluster: peer %s answered %d to steal commit", p.addr, resp.StatusCode)
-	}
-	p.breaker.Success()
-	c.count(p.addr, "commit", "ok")
-	return nil
+	reqBody, _ := json.Marshal(CommitRequest{Thief: c.self, Keys: keys}) // strings cannot fail to marshal
+	_, err := c.call(ctx, victimAddr, "commit", http.MethodPost, StealCommitPath, reqBody, accepted)
+	return err
 }
 
 // KnowsJob asks one peer whether it has any record of key — an inflight
@@ -534,40 +416,8 @@ func (c *Cluster) CommitSteal(ctx context.Context, victimAddr string, keys []str
 // run locally). (true, nil) = peer knows the key; (false, nil) = peer
 // is alive and has no record; err = can't tell.
 func (c *Cluster) KnowsJob(ctx context.Context, peerAddr, key string) (bool, error) {
-	p, ok := c.peers[NormalizeAddr(peerAddr)]
-	if !ok {
-		return false, fmt.Errorf("cluster: unknown peer %s", peerAddr)
-	}
-	if !p.breaker.Allow() {
-		c.count(p.addr, "jobs", "open")
-		return false, fmt.Errorf("cluster: breaker open for %s", p.addr)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.addr+JobsPathPrefix+key, nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		p.breaker.Failure()
-		c.count(p.addr, "jobs", "error")
-		return false, err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		p.breaker.Success()
-		c.count(p.addr, "jobs", "hit")
-		return true, nil
-	case http.StatusNotFound:
-		p.breaker.Success()
-		c.count(p.addr, "jobs", "miss")
-		return false, nil
-	default:
-		p.breaker.Failure()
-		c.count(p.addr, "jobs", "error")
-		return false, fmt.Errorf("cluster: peer %s answered %d", p.addr, resp.StatusCode)
-	}
+	outcome, err := c.call(ctx, peerAddr, "jobs", http.MethodGet, JobsPathPrefix+key, nil, lookup)
+	return outcome == "hit", err
 }
 
 // ReqStat is one cell of the peer-request counter matrix, the
@@ -611,7 +461,7 @@ type Snapshot struct {
 // Snapshot captures the current peer and counter state, peers and
 // counters in stable sorted order.
 func (c *Cluster) Snapshot() Snapshot {
-	snap := Snapshot{Self: c.self, VNodes: c.vnodes, Factor: c.factor}
+	snap := Snapshot{Self: c.self, VNodes: DefaultVNodes, Factor: c.factor}
 	snap.Members = append(append(snap.Members, c.self), c.order...)
 	sort.Strings(snap.Members)
 	for _, addr := range c.order {

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -25,22 +23,6 @@ const (
 	HealthDead = "dead"
 )
 
-// DetectorOptions configures StartDetector.
-type DetectorOptions struct {
-	// Interval between ping rounds; <= 0 means 1 s.
-	Interval time.Duration
-	// Misses is the consecutive failed-ping count that marks a peer
-	// dead; <= 0 means 3.
-	Misses int
-	// OnAlive, when non-nil, is called after every successful ping with
-	// the peer's address and whether this ping was a transition to alive
-	// (the peer was previously suspect, dead, or unknown). Hint delivery
-	// hooks here: a dead→alive edge is the moment to drain the peer's
-	// hint queue. Called from the detector goroutine; implementations
-	// must not block for long (they gate the next ping of that peer).
-	OnAlive func(addr string, becameAlive bool)
-}
-
 // Ping probes one peer's liveness with GET /v1/peer/ping. It bypasses
 // the breaker's Allow gate — the whole point of the detector is to
 // probe peers the breaker has written off — but feeds the breaker's
@@ -50,34 +32,52 @@ type DetectorOptions struct {
 // Liveness semantics: any 2xx, or a 404 (the process answered; an older
 // build without the ping route still counts as alive), means alive. A
 // 5xx or transport error is a miss — a process that answers 503 is a
-// corpse with a listener.
+// corpse with a listener. The misses-th consecutive miss marks the peer
+// dead; fewer make it suspect.
 //
 // It returns whether this ping transitioned the peer to alive, and the
 // probe error if the ping missed.
-func (c *Cluster) Ping(ctx context.Context, peerAddr string) (becameAlive bool, err error) {
-	p, ok := c.peers[NormalizeAddr(peerAddr)]
-	if !ok {
-		return false, fmt.Errorf("cluster: unknown peer %s", peerAddr)
+func (c *Cluster) Ping(ctx context.Context, peerAddr string, misses int) (becameAlive bool, err error) {
+	outcome, err := c.call(ctx, peerAddr, "ping", http.MethodGet, PingPath, nil,
+		func(status int, _ []byte) (string, error) {
+			if status/100 == 2 || status == http.StatusNotFound {
+				return "ok", nil
+			}
+			return "error", nil
+		})
+	p := c.peers[NormalizeAddr(peerAddr)]
+	switch outcome {
+	case "ok":
+		return p.markAlive(), nil
+	case "error":
+		p.markMissed(misses)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.addr+PingPath, nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.client.Do(req)
-	if err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode/100 == 2 || resp.StatusCode == http.StatusNotFound {
-			p.breaker.Success()
-			c.count(p.addr, "ping", "ok")
-			return p.markAlive(), nil
-		}
-		err = fmt.Errorf("cluster: peer %s answered %d to ping", p.addr, resp.StatusCode)
-	}
-	p.breaker.Failure()
-	c.count(p.addr, "ping", "error")
-	p.markMissed(c.detectorMisses())
 	return false, err
+}
+
+// PingAll runs one failure-detector round: it pings every peer in
+// parallel, each bounded by the peer timeout, and returns once every
+// ping has finished — so a caller that runs rounds back to back never
+// overlaps them, and no callback fires after PingAll returns. onAlive,
+// when non-nil, is called after every successful ping with the peer's
+// address and whether this ping was a transition to alive (the peer was
+// previously suspect, dead, or unknown). Hint delivery hooks here: a
+// dead→alive edge is the moment to drain the peer's hint queue.
+// Implementations must not block for long (they hold up the round).
+func (c *Cluster) PingAll(misses int, onAlive func(addr string, becameAlive bool)) {
+	var wg sync.WaitGroup
+	for _, addr := range c.order {
+		wg.Add(1)
+		go func(addr string) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), c.client.Timeout)
+			defer cancel()
+			if became, err := c.Ping(ctx, addr, misses); err == nil && onAlive != nil {
+				onAlive(addr, became)
+			}
+		}(addr)
+	}
+	wg.Wait()
 }
 
 // markAlive records a successful ping and reports whether it was a
@@ -115,83 +115,4 @@ func (c *Cluster) PeerHealth(addr string) string {
 	p.hmu.Lock()
 	defer p.hmu.Unlock()
 	return p.health
-}
-
-// detectorMisses reads the configured consecutive-miss threshold,
-// defaulting to 3 for direct Ping calls outside a running detector.
-func (c *Cluster) detectorMisses() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.detMisses <= 0 {
-		return 3
-	}
-	return c.detMisses
-}
-
-// StartDetector launches the heartbeat loop: every Interval it pings
-// all peers in parallel, each ping bounded by the cluster's peer
-// timeout. Starting an already-running detector is a no-op.
-func (c *Cluster) StartDetector(opts DetectorOptions) {
-	interval := opts.Interval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	misses := opts.Misses
-	if misses <= 0 {
-		misses = 3
-	}
-	c.mu.Lock()
-	if c.detStop != nil {
-		c.mu.Unlock()
-		return
-	}
-	c.detMisses = misses
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	c.detStop, c.detDone = stop, done
-	c.mu.Unlock()
-
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			// Ping every peer in parallel; the round joins before the
-			// next tick so stop is synchronous and rounds never overlap.
-			var wg sync.WaitGroup
-			for _, addr := range c.order {
-				wg.Add(1)
-				go func(addr string) {
-					defer wg.Done()
-					ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-					defer cancel()
-					became, err := c.Ping(ctx, addr)
-					if err == nil && opts.OnAlive != nil {
-						opts.OnAlive(addr, became)
-					}
-				}(addr)
-			}
-			wg.Wait()
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-			}
-		}
-	}()
-}
-
-// StopDetector stops the heartbeat loop and blocks until it has fully
-// exited — after it returns, no further pings or OnAlive callbacks
-// fire. Idempotent; a never-started detector is a no-op.
-func (c *Cluster) StopDetector() {
-	c.mu.Lock()
-	stop, done := c.detStop, c.detDone
-	c.detStop, c.detDone = nil, nil
-	c.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,21 +42,21 @@ func TestPeerHealthStateMachine(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	became, err := c.Ping(ctx, addr)
+	became, err := c.Ping(ctx, addr, 3)
 	if err != nil || !became {
 		t.Fatalf("first ping: became=%v err=%v, want transition to alive", became, err)
 	}
 	if got := c.PeerHealth(addr); got != HealthAlive {
 		t.Fatalf("health after ping = %q", got)
 	}
-	if became, _ = c.Ping(ctx, addr); became {
+	if became, _ = c.Ping(ctx, addr, 3); became {
 		t.Fatal("second successful ping reported a transition")
 	}
 
 	// The peer starts answering 503: a corpse with a listener. One miss
 	// is suspicion; the threshold (3) is death.
 	h.status.Store(http.StatusServiceUnavailable)
-	if _, err := c.Ping(ctx, addr); err == nil {
+	if _, err := c.Ping(ctx, addr, 3); err == nil {
 		t.Fatal("ping against 503 succeeded")
 	}
 	if got := c.PeerHealth(addr); got != HealthSuspect {
@@ -66,8 +65,8 @@ func TestPeerHealthStateMachine(t *testing.T) {
 	if c.PeerDown(addr) {
 		t.Fatal("suspect peer reported down")
 	}
-	c.Ping(ctx, addr)
-	c.Ping(ctx, addr)
+	c.Ping(ctx, addr, 3)
+	c.Ping(ctx, addr, 3)
 	if got := c.PeerHealth(addr); got != HealthDead {
 		t.Fatalf("health after threshold misses = %q, want dead", got)
 	}
@@ -83,7 +82,7 @@ func TestPeerHealthStateMachine(t *testing.T) {
 	// closes the breaker proactively — no half-open request sacrifice,
 	// and the hour-long cooldown never elapses.
 	h.status.Store(http.StatusOK)
-	became, err = c.Ping(ctx, addr)
+	became, err = c.Ping(ctx, addr, 3)
 	if err != nil || !became {
 		t.Fatalf("recovery ping: became=%v err=%v", became, err)
 	}
@@ -108,7 +107,7 @@ func TestPeerPing404IsAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	became, err := c.Ping(context.Background(), srv.URL)
+	became, err := c.Ping(context.Background(), srv.URL, 3)
 	if err != nil || !became {
 		t.Fatalf("ping against 404: became=%v err=%v", became, err)
 	}
@@ -117,7 +116,11 @@ func TestPeerPing404IsAlive(t *testing.T) {
 	}
 }
 
-func TestPeerDetectorLoopAndOnAlive(t *testing.T) {
+// TestPingAllRoundsAndOnAlive drives the failure detector one PingAll
+// round at a time: at a threshold of 2 misses a 503 peer is suspect
+// after one round and dead after two, and once it heals exactly one
+// alive transition fires however many rounds follow.
+func TestPingAllRoundsAndOnAlive(t *testing.T) {
 	h := &flipHandler{}
 	h.status.Store(http.StatusServiceUnavailable)
 	srv := httptest.NewServer(h)
@@ -132,52 +135,35 @@ func TestPeerDetectorLoopAndOnAlive(t *testing.T) {
 	}
 	addr := NormalizeAddr(srv.URL)
 
-	var mu sync.Mutex
-	var transitions []string
-	c.StartDetector(DetectorOptions{
-		Interval: 10 * time.Millisecond,
-		Misses:   2,
-		OnAlive: func(a string, became bool) {
-			if became {
-				mu.Lock()
-				transitions = append(transitions, a)
-				mu.Unlock()
-			}
-		},
-	})
-	// Double-start is a no-op, and the loop drives the peer dead.
-	c.StartDetector(DetectorOptions{Interval: time.Millisecond})
-	deadline := time.Now().Add(5 * time.Second)
-	for c.PeerHealth(addr) != HealthDead {
-		if time.Now().After(deadline) {
-			t.Fatal("detector never marked the 503 peer dead")
+	var alive, transitions []string
+	onAlive := func(a string, became bool) {
+		alive = append(alive, a)
+		if became {
+			transitions = append(transitions, a)
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	c.PingAll(2, onAlive)
+	if got := c.PeerHealth(addr); got != HealthSuspect {
+		t.Fatalf("health after one missed round = %q, want suspect", got)
+	}
+	c.PingAll(2, onAlive)
+	if got := c.PeerHealth(addr); got != HealthDead {
+		t.Fatalf("health after two missed rounds = %q, want dead", got)
+	}
+	if len(alive) != 0 {
+		t.Fatalf("OnAlive fired for a missed ping: %v", alive)
 	}
 
-	// Heal the peer: the loop notices within a few intervals and fires
-	// the dead→alive transition callback exactly once.
+	// Heal the peer: the next round revives it and fires the dead→alive
+	// transition; later rounds report alive without a transition.
 	h.status.Store(http.StatusOK)
-	for c.PeerHealth(addr) != HealthAlive {
-		if time.Now().After(deadline) {
-			t.Fatal("detector never revived the healed peer")
-		}
-		time.Sleep(5 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		c.PingAll(2, onAlive)
 	}
-	mu.Lock()
-	got := len(transitions)
-	mu.Unlock()
-	if got != 1 || transitions[0] != addr {
-		t.Fatalf("alive transitions = %v, want exactly one for %s", transitions, addr)
-	}
-
-	// StopDetector is synchronous: after it returns, no further state
-	// changes happen even if the peer flips again.
-	c.StopDetector()
-	c.StopDetector() // idempotent
-	h.status.Store(http.StatusServiceUnavailable)
-	time.Sleep(50 * time.Millisecond)
 	if got := c.PeerHealth(addr); got != HealthAlive {
-		t.Fatalf("health changed after StopDetector: %q", got)
+		t.Fatalf("health after the peer healed = %q, want alive", got)
+	}
+	if len(alive) != 3 || len(transitions) != 1 || transitions[0] != addr {
+		t.Fatalf("alive callbacks = %v, transitions = %v; want 3 and exactly one for %s", alive, transitions, addr)
 	}
 }

@@ -11,8 +11,7 @@
 // item — so a 256-cell sweep and a single interactive job alternate
 // pops instead of the sweep draining first. Within a flow, items order
 // by priority (higher first), then deadline (earlier first), then
-// admission order. A strict mode preserves the old global-FIFO
-// semantics for operators who want them back.
+// admission order.
 package queue
 
 import (
@@ -57,9 +56,6 @@ type SchedOptions struct {
 	// ErrFull. 0 means 64. PushReplay ignores the bound — journal
 	// re-admission must never drop accepted work.
 	MaxDepth int
-	// Strict disables fair sharing: one global FIFO in admission order,
-	// ignoring flows, priorities, and deadlines — the legacy behavior.
-	Strict bool
 	// Weight maps a class to its pops per round-robin turn; nil or a
 	// return < 1 means 1. Raising the interactive weight lets latency-
 	// sensitive traffic take several slots per sweep slot.
@@ -71,7 +67,6 @@ type SchedOptions struct {
 // scheduler is closed and empty.
 type Sched struct {
 	maxDepth int
-	strict   bool
 	weight   func(Class) int
 
 	mu     sync.Mutex
@@ -99,7 +94,6 @@ func NewSched(opts SchedOptions) *Sched {
 	}
 	s := &Sched{
 		maxDepth: opts.MaxDepth,
-		strict:   opts.Strict,
 		weight:   opts.Weight,
 		flows:    make(map[string]*flow),
 	}
@@ -140,15 +134,10 @@ func (s *Sched) pushLocked(it *Item) {
 	if it.Enqueued.IsZero() {
 		it.Enqueued = time.Now()
 	}
-	id := it.Flow
-	if s.strict {
-		id = "" // one global flow, FIFO by seq
-	}
-	f, ok := s.flows[id]
+	f, ok := s.flows[it.Flow]
 	if !ok {
-		f = &flow{id: id, class: it.Class}
-		f.items.strict = s.strict
-		s.flows[id] = f
+		f = &flow{id: it.Flow, class: it.Class}
+		s.flows[it.Flow] = f
 		s.ring = append(s.ring, f)
 	}
 	heap.Push(&f.items, it)
@@ -234,15 +223,11 @@ func (s *Sched) Remove(it *Item) bool {
 	if it == nil || it.index < 0 || it.seq == 0 {
 		return false
 	}
-	id := it.Flow
-	if s.strict {
-		id = ""
-	}
-	f, ok := s.flows[id]
+	f, ok := s.flows[it.Flow]
 	if !ok {
 		return false
 	}
-	if it.index >= f.items.Len() || f.items.items[it.index] != it {
+	if it.index >= f.items.Len() || f.items[it.index] != it {
 		return false
 	}
 	heap.Remove(&f.items, it.index)
@@ -311,7 +296,7 @@ func (s *Sched) DepthByClass() map[Class]int {
 	defer s.mu.Unlock()
 	out := make(map[Class]int, 2)
 	for _, f := range s.flows {
-		for _, it := range f.items.items {
+		for _, it := range f.items {
 			out[it.Class]++
 		}
 	}
@@ -325,7 +310,7 @@ func (s *Sched) OldestAge(now time.Time) time.Duration {
 	defer s.mu.Unlock()
 	var oldest time.Time
 	for _, f := range s.flows {
-		for _, it := range f.items.items {
+		for _, it := range f.items {
 			if oldest.IsZero() || it.Enqueued.Before(oldest) {
 				oldest = it.Enqueued
 			}
@@ -340,21 +325,15 @@ func (s *Sched) OldestAge(now time.Time) time.Duration {
 	return 0
 }
 
-// itemHeap orders a flow's items: admission order in strict mode;
-// otherwise priority (higher first), then deadline (earlier first, with
-// no-deadline last), then admission order.
-type itemHeap struct {
-	items  []*Item
-	strict bool
-}
+// itemHeap orders a flow's items: priority (higher first), then
+// deadline (earlier first, with no-deadline last), then admission
+// order.
+type itemHeap []*Item
 
-func (h itemHeap) Len() int { return len(h.items) }
+func (h itemHeap) Len() int { return len(h) }
 
 func (h itemHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if h.strict {
-		return a.seq < b.seq
-	}
+	a, b := h[i], h[j]
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority
 	}
@@ -371,23 +350,23 @@ func (h itemHeap) Less(i, j int) bool {
 }
 
 func (h itemHeap) Swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].index = i
-	h.items[j].index = j
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
 }
 
 func (h *itemHeap) Push(x any) {
 	it := x.(*Item)
-	it.index = len(h.items)
-	h.items = append(h.items, it)
+	it.index = len(*h)
+	*h = append(*h, it)
 }
 
 func (h *itemHeap) Pop() any {
-	old := h.items
+	old := *h
 	n := len(old)
 	it := old[n-1]
 	old[n-1] = nil
 	it.index = -1
-	h.items = old[:n-1]
+	*h = old[:n-1]
 	return it
 }

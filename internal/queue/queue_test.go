@@ -55,25 +55,6 @@ func TestFairShareRoundRobin(t *testing.T) {
 	}
 }
 
-// TestStrictFIFOIgnoresFlowsAndPriority: legacy mode is admission order,
-// nothing else.
-func TestStrictFIFOIgnoresFlowsAndPriority(t *testing.T) {
-	s := NewSched(SchedOptions{MaxDepth: 16, Strict: true})
-	a := item("sw1", ClassSweep, "a")
-	b := item("interactive", ClassInteractive, "b")
-	b.Priority = 9
-	c := item("sw2", ClassSweep, "c")
-	for _, it := range []*Item{a, b, c} {
-		if err := s.Push(it); err != nil {
-			t.Fatal(err)
-		}
-	}
-	order := drainAll(s)
-	if len(order) != 3 || order[0] != a || order[1] != b || order[2] != c {
-		t.Fatalf("strict FIFO reordered: %v", keys(order))
-	}
-}
-
 // TestPriorityAndDeadlineOrdering: within one flow, higher priority
 // first, then earlier deadline, then admission order.
 func TestPriorityAndDeadlineOrdering(t *testing.T) {

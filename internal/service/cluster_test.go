@@ -123,8 +123,8 @@ func waitDone(t *testing.T, s *Server, id string) *Status {
 // consults the owner before running the engine — zero extra engine runs.
 func TestClusterPeerResultHit(t *testing.T) {
 	a, b, _, addrB := clusterPair(t,
-		Config{Workers: 1, StealInterval: -1},
-		Config{Workers: 1, StealInterval: -1},
+		Config{Workers: 1, StealInterval: -1, RepairInterval: -1},
+		Config{Workers: 1, StealInterval: -1, RepairInterval: -1},
 	)
 	// A key B owns, computed on A: the body lands on B by replication,
 	// so B's submission finds it locally — and a third node would find
@@ -138,7 +138,14 @@ func TestClusterPeerResultHit(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("compute on A: %s (%s)", st.State, st.Error)
 	}
-	// Replication to the owner is async; give it a beat.
+	// With repair off, the compute alone fans the body out to every
+	// other member of the key's replica set.
+	for _, addr := range a.cluster.ReplicaSet(st.Key) {
+		if addr != a.cluster.Self() {
+			waitUntil(t, "replica "+addr+" to hold the body", func() bool { return nodeHasResult(addr, st.Key) })
+		}
+	}
+	// B now answers the same spec from its own tiers.
 	deadline := time.Now().Add(5 * time.Second)
 	for b.Metrics().EngineRuns.Load() == 0 && time.Now().Before(deadline) {
 		stB, err := b.Submit(spec)

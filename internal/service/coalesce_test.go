@@ -212,18 +212,14 @@ func TestCancelFollowerLeavesLeader(t *testing.T) {
 }
 
 // TestTrialWorkerBudgetDefaults pins the per-job parallelism budget
-// computation: GOMAXPROCS split across the pool, floored at 1, with an
-// explicit setting passed through untouched.
+// computation: GOMAXPROCS split across the pool, floored at 1.
 func TestTrialWorkerBudgetDefaults(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
-	if got := (Config{Workers: 2}).withDefaults().TrialWorkers; got != max(1, procs/2) {
-		t.Errorf("Workers=2: TrialWorkers=%d, want %d", got, max(1, procs/2))
+	if got := (Config{Workers: 2}).withDefaults().trialWorkers; got != max(1, procs/2) {
+		t.Errorf("Workers=2: trialWorkers=%d, want %d", got, max(1, procs/2))
 	}
-	if got := (Config{Workers: 4 * procs}).withDefaults().TrialWorkers; got != 1 {
-		t.Errorf("oversubscribed pool: TrialWorkers=%d, want floor of 1", got)
-	}
-	if got := (Config{Workers: 2, TrialWorkers: 7}).withDefaults().TrialWorkers; got != 7 {
-		t.Errorf("explicit budget rewritten to %d", got)
+	if got := (Config{Workers: 4 * procs}).withDefaults().trialWorkers; got != 1 {
+		t.Errorf("oversubscribed pool: trialWorkers=%d, want floor of 1", got)
 	}
 }
 
@@ -241,7 +237,7 @@ func (e captureEngine) run(ctx context.Context, spec JobSpec, p runParams) (json
 // of the budget (the mc-side contract that the budget bounds concurrent
 // trials is mc's TestWorkerBudgetRespected).
 func TestTrialWorkerBudgetReachesEngine(t *testing.T) {
-	s := New(Config{Workers: 1, TrialWorkers: 3})
+	s := New(Config{Workers: 1})
 	defer drain(t, s)
 	ce := captureEngine{workers: make(chan int, 1)}
 	installEngine(s, ce)
@@ -250,8 +246,8 @@ func TestTrialWorkerBudgetReachesEngine(t *testing.T) {
 	}
 	select {
 	case w := <-ce.workers:
-		if w != 3 {
-			t.Errorf("engine received workers=%d, want 3", w)
+		if want := runtime.GOMAXPROCS(0); w != want {
+			t.Errorf("engine received workers=%d, want the derived budget %d", w, want)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("engine never ran")

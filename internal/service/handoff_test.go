@@ -213,22 +213,19 @@ func TestClusterPeerReadRepairHealsReplica(t *testing.T) {
 	}
 }
 
-// Satellite: the repair-pass budget derives from the repair interval
-// when not set, clamped to [1s, 10s], and an explicit value wins.
+// Satellite: the repair-pass budget derives from the repair interval,
+// clamped to [1s, 10s].
 func TestRepairTimeoutScalesWithInterval(t *testing.T) {
 	cases := []struct {
-		interval, explicit, want time.Duration
+		interval, want time.Duration
 	}{
-		{100 * time.Millisecond, 0, time.Second},              // clamped up
-		{5 * time.Second, 0, 5 * time.Second},                 // tracks the interval
-		{time.Minute, 0, 10 * time.Second},                    // clamped down
-		{5 * time.Second, 30 * time.Second, 30 * time.Second}, // explicit wins
+		{100 * time.Millisecond, time.Second}, // clamped up
+		{5 * time.Second, 5 * time.Second},    // tracks the interval
+		{time.Minute, 10 * time.Second},       // clamped down
 	}
 	for _, tc := range cases {
-		cfg := Config{RepairInterval: tc.interval, RepairTimeout: tc.explicit}.withDefaults()
-		if cfg.RepairTimeout != tc.want {
-			t.Errorf("interval %v explicit %v: timeout %v, want %v",
-				tc.interval, tc.explicit, cfg.RepairTimeout, tc.want)
+		if got := repairBudget(tc.interval); got != tc.want {
+			t.Errorf("interval %v: timeout %v, want %v", tc.interval, got, tc.want)
 		}
 	}
 }

@@ -157,17 +157,6 @@ func (m *Metrics) ObserveJobSeconds(s float64, class queue.Class) {
 	m.classCount[class]++
 }
 
-// MeanJobSeconds reports the observed mean job duration, or 0 before
-// any job has completed.
-func (m *Metrics) MeanJobSeconds() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.count == 0 {
-		return 0
-	}
-	return m.sum / float64(m.count)
-}
-
 // MeanJobSecondsClass reports the observed mean job duration for one
 // scheduling class, falling back to the overall mean before any job of
 // that class has completed (and 0 before any job at all has). It feeds

@@ -523,56 +523,44 @@ func (s *Server) adoptStolen(jobs []cluster.StolenJob) (adopted int, committed [
 	return adopted, committed
 }
 
-// stealLoop runs on every cluster node: whenever the local pool has
-// idle workers and an empty backlog, it asks each live peer in turn to
-// donate pending work. Stopped by Drain.
-func (s *Server) stealLoop(interval time.Duration) {
-	defer close(s.stealDone)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stealStop:
-			return
-		case <-tick.C:
+// stealRound is one round of the work-stealing loop, which New runs
+// every Config.StealInterval on every cluster node: when the local pool
+// has idle workers and an empty backlog, it asks each live peer in turn
+// to donate pending work.
+func (s *Server) stealRound() {
+	s.mu.Lock()
+	draining := s.draining
+	s.mu.Unlock()
+	free := s.cfg.Workers - int(s.running.Load())
+	if draining || free < 1 || s.sched.Depth() > 0 {
+		return
+	}
+	for _, peer := range s.cluster.PeerAddrs() {
+		if free < 1 {
+			break
 		}
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
-		if draining {
-			return
-		}
-		free := s.cfg.Workers - int(s.running.Load())
-		if free < 1 || s.sched.Depth() > 0 {
+		if s.cluster.PeerDown(peer) {
 			continue
 		}
-		for _, peer := range s.cluster.PeerAddrs() {
-			if free < 1 {
-				break
-			}
-			if s.cluster.PeerDown(peer) {
-				continue
-			}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		jobs, err := s.cluster.StealFrom(ctx, peer, free)
+		cancel()
+		if err != nil || len(jobs) == 0 {
+			continue
+		}
+		adopted, committed := s.adoptStolen(jobs)
+		free -= adopted
+		if len(committed) > 0 {
+			// Phase two: the stolen keys are in this node's WAL (or
+			// already settled here); tell the victim it may tombstone its
+			// intents. A failed commit is safe — the victim keeps its
+			// records and its follower waits on this node, which now
+			// provably knows the jobs.
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			jobs, err := s.cluster.StealFrom(ctx, peer, free)
+			if err := s.cluster.CommitSteal(ctx, peer, committed); err == nil {
+				s.metrics.StealCommits.Add(1)
+			}
 			cancel()
-			if err != nil || len(jobs) == 0 {
-				continue
-			}
-			adopted, committed := s.adoptStolen(jobs)
-			free -= adopted
-			if len(committed) > 0 {
-				// Phase two: the stolen keys are in this node's WAL (or
-				// already settled here); tell the victim it may tombstone
-				// its intents. A failed commit is safe — the victim keeps
-				// its records and its follower waits on this node, which
-				// now provably knows the jobs.
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				if err := s.cluster.CommitSteal(ctx, peer, committed); err == nil {
-					s.metrics.StealCommits.Add(1)
-				}
-				cancel()
-			}
 		}
 	}
 }

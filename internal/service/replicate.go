@@ -83,30 +83,19 @@ func (s *Server) replicationInfo() *ReplicationInfo {
 	return info
 }
 
-// repairLoop drives one repair pass per tick until Drain stops it.
-func (s *Server) repairLoop(interval time.Duration) {
-	defer close(s.repairDone)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.repairStop:
-			return
-		case <-tick.C:
-		}
-		// The pass budget scales with the interval (cfg.RepairTimeout,
-		// clamped to [1s, 10s] by default) so short intervals cannot
-		// overlap a stuck pass — and it must never wedge Drain.
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RepairTimeout)
-		s.repairPass(ctx)
-		cancel()
-	}
+// repairBudget bounds one repair pass: the repair interval clamped to
+// [1s, 10s], so a short interval cannot overlap a stuck pass, a long
+// one is not starved by its own budget, and no pass can wedge Drain.
+func repairBudget(interval time.Duration) time.Duration {
+	return min(max(interval, time.Second), 10*time.Second)
 }
 
-// repairPass probes one batch of local store keys, resuming after the
-// previous pass's cursor, and pushes any body a replica peer is
-// missing. It returns how many keys were scanned and how many bodies
-// were pushed (exposed for tests; the loop ignores them).
+// repairPass is one round of the repair loop, which New runs every
+// Config.RepairInterval: it probes one batch of local store keys,
+// resuming after the previous pass's cursor, and pushes any body a
+// replica peer is missing. It returns how many keys were scanned and
+// how many bodies were pushed (exposed for tests; the loop ignores
+// them).
 func (s *Server) repairPass(ctx context.Context) (scanned, repaired int) {
 	keys := s.store.Keys()
 	if len(keys) > 0 {
@@ -122,7 +111,7 @@ func (s *Server) repairPass(ctx context.Context) (scanned, repaired int) {
 				start++
 			}
 		}
-		batch := s.cfg.RepairBatch
+		batch := s.cfg.repairBatch
 		if batch > len(keys) {
 			batch = len(keys)
 		}
@@ -130,7 +119,7 @@ func (s *Server) repairPass(ctx context.Context) (scanned, repaired int) {
 			select {
 			case <-ctx.Done():
 				return scanned, repaired
-			case <-s.repairStop:
+			case <-s.stop:
 				return scanned, repaired
 			default:
 			}

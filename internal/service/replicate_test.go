@@ -52,7 +52,7 @@ func TestRepairPassHealsMissingReplicas(t *testing.T) {
 		return s
 	}
 	// RepairInterval -1: the test drives passes by hand, synchronously.
-	a := mk(srvA.URL, Config{Workers: 1, Store: st, RepairInterval: -1, RepairBatch: 2})
+	a := mk(srvA.URL, Config{Workers: 1, Store: st, RepairInterval: -1, repairBatch: 2})
 	b := mk(srvB.URL, Config{Workers: 1, RepairInterval: -1})
 	shA.set(a.Handler())
 	shB.set(b.Handler())

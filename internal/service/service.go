@@ -24,20 +24,10 @@ import (
 type Config struct {
 	// Workers is the number of concurrent jobs; 0 means 2.
 	Workers int
-	// TrialWorkers is the Monte-Carlo parallelism budget of one job. The
-	// default (0) divides GOMAXPROCS evenly across the job pool, never
-	// below 1, so a fully loaded pool runs at most ~GOMAXPROCS trial
-	// goroutines instead of Workers×GOMAXPROCS.
-	TrialWorkers int
 	// QueueDepth bounds the pending submission queue; a full queue
 	// rejects with ErrQueueFull (HTTP 429). 0 means 64. Journal replay
 	// on restart may exceed it — accepted work is never dropped.
 	QueueDepth int
-	// StrictFIFO disables fair sharing: the scheduler degrades to one
-	// global FIFO in admission order, ignoring flows, priorities, and
-	// deadlines — the pre-scheduler behavior, kept for operators who
-	// want it back (-fair-share=false).
-	StrictFIFO bool
 	// InteractiveWeight is how many interactive jobs the scheduler pops
 	// per sweep-flow pop; 0 means 1 (equal shares). Raising it biases
 	// the pool toward latency-sensitive singleton submissions.
@@ -102,17 +92,9 @@ type Config struct {
 	// RepairInterval is how often the anti-entropy repair loop walks a
 	// batch of local store keys and re-replicates any whose replica
 	// peers are missing them; 0 means 5 s, negative disables repair.
-	// Only meaningful with both Cluster and Store configured.
+	// Only meaningful with both Cluster and Store configured. One pass
+	// may take the interval clamped to [1s, 10s] (repairBudget).
 	RepairInterval time.Duration
-	// RepairBatch bounds how many local keys one repair pass probes; 0
-	// means 128. The cursor persists across passes, so the whole key
-	// space is walked eventually regardless of batch size.
-	RepairBatch int
-	// RepairTimeout bounds one anti-entropy repair pass. <= 0 derives it
-	// from RepairInterval, clamped to [1s, 10s], so a short interval
-	// cannot overlap a stuck pass and a long one is not starved by its
-	// own budget.
-	RepairTimeout time.Duration
 	// Hints, when non-nil, is the durable hinted-handoff log
 	// (internal/hints): replica pushes that fail queue a (peer, key)
 	// hint there and the failure detector drains it the moment the peer
@@ -127,18 +109,23 @@ type Config struct {
 	// ProbeMisses is how many consecutive failed pings mark a peer dead;
 	// 0 means 3.
 	ProbeMisses int
+
+	// trialWorkers is the Monte-Carlo parallelism budget of one job:
+	// GOMAXPROCS divided evenly across the job pool, never below 1, so a
+	// fully loaded pool runs at most ~GOMAXPROCS trial goroutines instead
+	// of Workers×GOMAXPROCS.
+	trialWorkers int
+	// repairBatch bounds how many local keys one repair pass probes; 0
+	// means 128. The cursor persists across passes, so the whole key
+	// space is walked eventually regardless of batch size.
+	repairBatch int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = 2
 	}
-	if c.TrialWorkers == 0 {
-		c.TrialWorkers = runtime.GOMAXPROCS(0) / c.Workers
-		if c.TrialWorkers < 1 {
-			c.TrialWorkers = 1
-		}
-	}
+	c.trialWorkers = max(1, runtime.GOMAXPROCS(0)/c.Workers)
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
 	}
@@ -175,18 +162,8 @@ func (c Config) withDefaults() Config {
 	if c.RepairInterval == 0 {
 		c.RepairInterval = 5 * time.Second
 	}
-	if c.RepairBatch == 0 {
-		c.RepairBatch = 128
-	}
-	if c.RepairTimeout <= 0 {
-		rt := c.RepairInterval
-		if rt < time.Second {
-			rt = time.Second
-		}
-		if rt > 10*time.Second {
-			rt = 10 * time.Second
-		}
-		c.RepairTimeout = rt
+	if c.repairBatch == 0 {
+		c.repairBatch = 128
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
@@ -386,29 +363,19 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	// watchStop/watchDone bracket the stuck-job watchdog goroutine
-	// (watchdog.go); both are nil when the watchdog is disabled.
-	watchStop chan struct{}
-	watchDone chan struct{}
+	// stop and loops run the background loops started through every —
+	// the stuck-job watchdog, work stealing, anti-entropy repair and the
+	// peer failure detector: Drain closes stop once and waits on loops
+	// once.
+	stop  chan struct{}
+	loops sync.WaitGroup
 
-	// stealStop/stealDone bracket the work-stealing loop (peer.go); both
-	// are nil when the daemon is standalone or stealing is disabled.
-	stealStop chan struct{}
-	stealDone chan struct{}
-
-	// repairStop/repairDone bracket the anti-entropy repair loop
-	// (replicate.go); both are nil when repair is disabled. The cursor
-	// and pass counters live behind repairMu.
-	repairStop chan struct{}
-	repairDone chan struct{}
+	// The repair loop's cursor and pass counters (replicate.go).
 	repairMu   sync.Mutex
 	repairCur  string // last store key probed; next pass resumes after it
 	repairRuns int64
 	lastRepair time.Time
 
-	// detectorOn marks a started failure detector so Drain knows to stop
-	// it (set once in New, read in Drain).
-	detectorOn bool
 	// hintMu guards hintActive: the per-peer "a delivery goroutine is
 	// already draining this peer" latch, so overlapping alive signals do
 	// not double-deliver concurrently (delivery itself is idempotent).
@@ -458,9 +425,9 @@ func New(cfg Config) *Server {
 		sweeps:     make(map[string]*Sweep),
 		hintActive: make(map[string]bool),
 		rrSem:      make(chan struct{}, readRepairBudget),
+		stop:       make(chan struct{}),
 		sched: queue.NewSched(queue.SchedOptions{
 			MaxDepth: cfg.QueueDepth,
-			Strict:   cfg.StrictFIFO,
 			Weight: func(c queue.Class) int {
 				if c == queue.ClassInteractive {
 					return cfg.InteractiveWeight
@@ -469,43 +436,56 @@ func New(cfg Config) *Server {
 			},
 		}),
 	}
+	if s.cluster != nil && s.hints == nil {
+		// Every clustered server gets a hint log; without a configured
+		// durable one it is memory-only (Open with an empty dir cannot
+		// fail).
+		s.hints, _ = hints.Open("", hints.Options{})
+	}
 	s.replayJournal()
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
 	if cfg.WatchdogInterval > 0 {
-		s.watchStop = make(chan struct{})
-		s.watchDone = make(chan struct{})
-		go s.watchdog(cfg.WatchdogInterval)
+		s.every(cfg.WatchdogInterval, func() { s.scanStuck(time.Now()) })
 	}
 	if s.cluster != nil && cfg.StealInterval > 0 {
-		s.stealStop = make(chan struct{})
-		s.stealDone = make(chan struct{})
-		go s.stealLoop(cfg.StealInterval)
+		s.every(cfg.StealInterval, s.stealRound)
 	}
 	if s.cluster != nil && s.store != nil && cfg.RepairInterval > 0 {
-		s.repairStop = make(chan struct{})
-		s.repairDone = make(chan struct{})
-		go s.repairLoop(cfg.RepairInterval)
+		budget := repairBudget(cfg.RepairInterval)
+		s.every(cfg.RepairInterval, func() {
+			ctx, cancel := context.WithTimeout(context.Background(), budget)
+			defer cancel()
+			s.repairPass(ctx)
+		})
 	}
-	if s.cluster != nil {
-		if s.hints == nil {
-			// Every clustered server gets a hint log; without a configured
-			// durable one it is memory-only (Open with an empty dir cannot
-			// fail).
-			s.hints, _ = hints.Open("", hints.Options{})
-		}
-		if cfg.ProbeInterval > 0 {
-			s.detectorOn = true
-			s.cluster.StartDetector(cluster.DetectorOptions{
-				Interval: cfg.ProbeInterval,
-				Misses:   cfg.ProbeMisses,
-				OnAlive:  s.onPeerAlive,
-			})
-		}
+	if s.cluster != nil && cfg.ProbeInterval > 0 {
+		s.every(cfg.ProbeInterval, func() { s.cluster.PingAll(cfg.ProbeMisses, s.onPeerAlive) })
 	}
 	return s
+}
+
+// every runs fn once per interval, on one goroutine, until Drain closes
+// s.stop. Each round runs to completion before the next tick is taken,
+// so rounds of one loop never overlap, and Drain's wait on s.loops
+// returns only once every loop's last round has finished.
+func (s *Server) every(interval time.Duration, fn func()) {
+	s.loops.Add(1)
+	go func() {
+		defer s.loops.Done()
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-s.stop:
+				return
+			case <-tick.C:
+				fn()
+			}
+		}
+	}()
 }
 
 // Metrics exposes the server's counters (for tests and /metrics).
@@ -1020,7 +1000,7 @@ func (s *Server) runJob(j *Job, t *workerToken) {
 		run = s.cfg.WrapEngine(j.spec.Engine, run)
 	}
 	body, err := runEngine(j.spec.Engine, run, j.ctx, j.spec, runParams{
-		workers: s.cfg.TrialWorkers,
+		workers: s.cfg.trialWorkers,
 		progress: func(snap mc.Snapshot) {
 			moved := storeMax(&j.completed, int64(snap.Completed))
 			if storeMax(&j.failed, int64(snap.Failed)) {
@@ -1144,37 +1124,15 @@ func (s *Server) Drain(ctx context.Context) error {
 	if !s.draining {
 		s.draining = true
 		s.sched.Close()
-		if s.watchStop != nil {
-			// Stop the watchdog before waiting on the pool: a kill racing
-			// the drain would otherwise spawn a replacement worker while
-			// wg.Wait is in flight.
-			close(s.watchStop)
-		}
-		if s.stealStop != nil {
-			// Stop the steal loop too: a draining node must neither adopt
-			// new work nor keep polling peers.
-			close(s.stealStop)
-		}
-		if s.repairStop != nil {
-			close(s.repairStop)
-		}
+		close(s.stop)
 	}
 	s.mu.Unlock()
-	if s.watchDone != nil {
-		<-s.watchDone
-	}
-	if s.stealDone != nil {
-		<-s.stealDone
-	}
-	if s.repairDone != nil {
-		<-s.repairDone
-	}
-	if s.detectorOn {
-		// Synchronous: after this returns no OnAlive callback can fire,
-		// so no new hint-delivery goroutine can race the wg.Wait below
-		// (the ones already spawned hold wg shares and drain normally).
-		s.cluster.StopDetector()
-	}
+	// Stop every background loop before waiting on the pool: a watchdog
+	// kill racing the drain would otherwise spawn a replacement worker
+	// while wg.Wait is in flight, a steal round would adopt new work,
+	// and a detector round could fire OnAlive and start a hint delivery
+	// (the deliveries already spawned hold wg shares and drain normally).
+	s.loops.Wait()
 
 	idle := make(chan struct{})
 	go func() {

@@ -28,27 +28,10 @@ func (e *WatchdogError) Error() string {
 		e.JobID, time.Since(e.Deadline).Round(time.Millisecond), e.IdleFor.Round(time.Millisecond), e.Grace)
 }
 
-// watchdog is the stuck-job monitor goroutine: every interval it scans
-// the running jobs for one that is past its deadline with no progress
-// movement for longer than the grace period, and kills what it finds.
-// Started by New when Config.WatchdogInterval > 0; stopped by Drain.
-func (s *Server) watchdog(interval time.Duration) {
-	defer close(s.watchDone)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.watchStop:
-			return
-		case <-ticker.C:
-			s.scanStuck(time.Now())
-		}
-	}
-}
-
-// scanStuck collects the currently stuck jobs and kills each one. The
-// stuck predicate is deliberately conservative — both clauses must hold
-// for the full grace period:
+// scanStuck is one round of the stuck-job watchdog, which New runs
+// every Config.WatchdogInterval: it collects the currently stuck jobs
+// and kills each one. The stuck predicate is deliberately conservative
+// — both clauses must hold for the full grace period:
 //
 //   - the job is running on a worker and its deadline passed more than
 //     grace ago (the context fired and the engine still has not
