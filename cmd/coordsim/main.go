@@ -16,16 +16,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"coordattack/internal/baseline"
 	"coordattack/internal/cliutil"
 	"coordattack/internal/core"
 	"coordattack/internal/fault"
-	"coordattack/internal/graph"
 	"coordattack/internal/mc"
 	"coordattack/internal/sim"
 	"coordattack/internal/trace"
@@ -73,7 +69,7 @@ func run(args []string, out io.Writer) int {
 		return 2
 	}
 
-	plan, err := parseFault(*faultSpec, g, *rounds, *seed)
+	plan, err := cliutil.ParseFault(*faultSpec, g, *rounds, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -188,22 +184,4 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintf(out, "exact:    Pr[TA]=%.4f Pr[PA]=%.4f Pr[NA]=%.4f\n", d.PTotal, d.PPartial, d.PNone)
 	}
 	return 0
-}
-
-// parseFault turns the -fault flag into a Plan. The empty spec (and
-// "none") yields the empty plan. "rand:P" samples a plan with per-process
-// fault probability P from the run seed; anything else is the explicit
-// kind:proc[@round] list understood by fault.Parse.
-func parseFault(spec string, g *graph.G, n int, seed uint64) (*fault.Plan, error) {
-	if rest, ok := strings.CutPrefix(spec, "rand:"); ok {
-		// NaN slips through a bare range check (it fails both comparisons),
-		// so reject non-finite P explicitly: "rand:NaN" must exit 2, not
-		// silently run fault-free.
-		pf, err := strconv.ParseFloat(rest, 64)
-		if err != nil || math.IsNaN(pf) || pf < 0 || pf > 1 {
-			return nil, fmt.Errorf("coordsim: bad fault spec %q: want rand:P with P in [0,1]", spec)
-		}
-		return fault.Sample(seed, 0, g, n, fault.SampleConfig{PFault: pf})
-	}
-	return fault.Parse(spec, g.NumVertices(), n)
 }

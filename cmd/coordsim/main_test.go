@@ -142,10 +142,6 @@ func TestSimBadSpecs(t *testing.T) {
 		{"-inputs", "99"},
 		{"-fault", "zzz"},
 		{"-fault", "crash:99@1"},
-		{"-fault", "rand:2"},
-		{"-fault", "rand:NaN"},
-		{"-fault", "rand:-Inf"},
-		{"-fault", "rand:"},
 		{"-bogusflag"},
 	}
 	for _, args := range cases {

@@ -1,17 +1,20 @@
 // Package cliutil parses the small spec languages the command-line tools
 // share: graph specs ("pair", "ring:6", "grid:3x4"), run specs ("good",
 // "cut:4", "tree", "loss:0.1", "silent"), input specs ("all", "1", "1,3"),
-// and protocol specs ("s:0.1", "s+1:0.1", "a", "axk:4:all",
-// "detfullinfo", "detthreshold:1/2").
+// fault specs ("rand:0.3", "crash:2@4,flip:1"), and protocol specs
+// ("s:0.1", "s+1:0.1", "a", "axk:4:all", "detfullinfo",
+// "detthreshold:1/2").
 package cliutil
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
 	"coordattack/internal/baseline"
 	"coordattack/internal/core"
+	"coordattack/internal/fault"
 	"coordattack/internal/graph"
 	"coordattack/internal/protocol"
 	"coordattack/internal/rng"
@@ -221,6 +224,24 @@ func ParseRun(spec string, g *graph.G, n int, inputs []graph.ProcID, seed uint64
 	default:
 		return nil, fmt.Errorf("cliutil: unknown run spec %q", spec)
 	}
+}
+
+// ParseFault builds a fault plan over n rounds from a spec. "rand:P"
+// samples a plan with per-process fault probability P from the seed;
+// anything else is fault.Parse's explicit kind:proc[@round] list, where
+// the empty spec and "none" are the empty plan.
+func ParseFault(spec string, g *graph.G, n int, seed uint64) (*fault.Plan, error) {
+	if rest, ok := strings.CutPrefix(spec, "rand:"); ok {
+		// NaN slips through a bare range check (it fails both
+		// comparisons), so reject it explicitly: "rand:NaN" must be an
+		// error, not a silently fault-free plan.
+		p, err := strconv.ParseFloat(rest, 64)
+		if err != nil || math.IsNaN(p) || p < 0 || p > 1 {
+			return nil, fmt.Errorf("cliutil: bad fault spec %q: want rand:P with P in [0,1]", spec)
+		}
+		return fault.Sample(seed, 0, g, n, fault.SampleConfig{PFault: p})
+	}
+	return fault.Parse(spec, g.NumVertices(), n)
 }
 
 // ParseProtocol builds a protocol from a spec:

@@ -132,6 +132,31 @@ func TestParseRun(t *testing.T) {
 	}
 }
 
+func TestParseFault(t *testing.T) {
+	g := graph.Pair()
+	for _, empty := range []string{"", "none", "rand:0"} {
+		if p, err := ParseFault(empty, g, 4, 1); err != nil || !p.Empty() {
+			t.Errorf("ParseFault(%q) = %v, %v; want the empty plan", empty, p, err)
+		}
+	}
+	if p, err := ParseFault("crash:2@3,flip:1", g, 4, 1); err != nil || p.Empty() {
+		t.Errorf("explicit plan: %v, %v", p, err)
+	}
+	// rand:P samples from the seed: the same seed draws the same plan.
+	a, err := ParseFault("rand:1", g, 4, 7)
+	if err != nil || a.Empty() {
+		t.Fatalf("rand:1: %v, %v", a, err)
+	}
+	if b, _ := ParseFault("rand:1", g, 4, 7); b.String() != a.String() {
+		t.Errorf("rand:1 drew %v then %v from one seed", a, b)
+	}
+	for _, bad := range []string{"rand:2", "rand:NaN", "rand:-Inf", "rand:", "rand:x", "zzz", "crash:99@1"} {
+		if _, err := ParseFault(bad, g, 4, 1); err == nil {
+			t.Errorf("ParseFault(%q) succeeded", bad)
+		}
+	}
+}
+
 func TestParseProtocol(t *testing.T) {
 	s, err := ParseProtocol("s:0.1")
 	if err != nil {

@@ -102,35 +102,30 @@ func runEngine(name string, fn RunFunc, ctx context.Context, spec JobSpec, p run
 	return fn(ctx, spec, p.workers, p.progress)
 }
 
-// mcInputs is a parsed mc job: everything mc.Estimate needs except the
-// context and observers.
-type mcInputs struct {
-	cfg mc.Config
-}
-
-// buildMCInputs parses a canonical mc spec into an mc.Config. It is
-// also canonicalization's validator: every sub-spec parse error
-// surfaces here, at submit time.
-func buildMCInputs(c JobSpec) (*mcInputs, error) {
+// buildMCInputs parses a canonical mc spec into everything mc.Estimate
+// needs except the context and observers. It is also
+// canonicalization's validator: every sub-spec parse error surfaces
+// here, at submit time.
+func buildMCInputs(c JobSpec) (mc.Config, error) {
 	p, err := cliutil.ParseProtocol(c.Protocol)
 	if err != nil {
-		return nil, err
+		return mc.Config{}, err
 	}
 	g, err := cliutil.ParseGraph(c.Graph, c.Seed)
 	if err != nil {
-		return nil, err
+		return mc.Config{}, err
 	}
 	// Exact size limits, after the cheap boundGraphSpec pre-filter:
 	// products (grid:RxC) and exponentials (hypercube:D) can pass the
 	// per-argument bound while the built graph does not.
 	if v := g.NumVertices(); v > MaxProcs {
-		return nil, fmt.Errorf("service: graph %q has %d processes, served limit %d", c.Graph, v, MaxProcs)
+		return mc.Config{}, fmt.Errorf("service: graph %q has %d processes, served limit %d", c.Graph, v, MaxProcs)
 	} else if cost := c.Rounds * v * v; cost > maxRunCost {
-		return nil, fmt.Errorf("service: rounds×V² = %d over the served limit %d", cost, maxRunCost)
+		return mc.Config{}, fmt.Errorf("service: rounds×V² = %d over the served limit %d", cost, maxRunCost)
 	}
 	inputs, err := cliutil.ParseInputs(c.Inputs, g)
 	if err != nil {
-		return nil, err
+		return mc.Config{}, err
 	}
 	cfg := mc.Config{
 		Protocol:    p,
@@ -146,23 +141,20 @@ func buildMCInputs(c JobSpec) (*mcInputs, error) {
 	}
 	if c.Sampler != "" {
 		cfg.Sampler, err = parseSampler(c.Sampler, g, c.Rounds, inputs)
-		if err != nil {
-			return nil, err
-		}
 	} else {
 		cfg.Run, err = cliutil.ParseRun(c.Run, g, c.Rounds, inputs, c.Seed)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return mc.Config{}, err
 	}
 	if c.Fault != "" {
-		plan, err := parseFaultSpec(c.Fault, g, c.Rounds, c.Seed)
+		plan, err := cliutil.ParseFault(c.Fault, g, c.Rounds, c.Seed)
 		if err != nil {
-			return nil, err
+			return mc.Config{}, err
 		}
 		cfg.Protocol = fault.Inject(p, plan)
 	}
-	return &mcInputs{cfg: cfg}, nil
+	return cfg, nil
 }
 
 // parseSampler parses a per-trial run sampler spec:
@@ -197,20 +189,6 @@ func parseSampler(spec string, g *graph.G, rounds int, inputs []graph.ProcID) (m
 	}
 }
 
-// parseFaultSpec mirrors coordsim's -fault language: "rand:P" samples a
-// plan from the job seed, anything else is fault.Parse's explicit
-// kind:proc[@round] list.
-func parseFaultSpec(spec string, g *graph.G, rounds int, seed uint64) (*fault.Plan, error) {
-	if rest, ok := strings.CutPrefix(spec, "rand:"); ok {
-		pf, err := strconv.ParseFloat(rest, 64)
-		if err != nil || math.IsNaN(pf) || pf < 0 || pf > 1 {
-			return nil, fmt.Errorf("service: bad fault spec %q: want rand:P with P in [0,1]", spec)
-		}
-		return fault.Sample(seed, 0, g, rounds, fault.SampleConfig{PFault: pf})
-	}
-	return fault.Parse(spec, g.NumVertices(), rounds)
-}
-
 // mcBody is the JSON result body of an mc job. Like mc.Result, its
 // field names are API.
 type mcBody struct {
@@ -230,11 +208,10 @@ type mcBody struct {
 type mcEngine struct{}
 
 func (mcEngine) run(ctx context.Context, spec JobSpec, p runParams) (json.RawMessage, error) {
-	in, err := buildMCInputs(spec)
+	cfg, err := buildMCInputs(spec)
 	if err != nil {
 		return nil, err
 	}
-	cfg := in.cfg
 	cfg.Ctx = ctx
 	cfg.Workers = p.workers
 	cfg.Progress = p.progress

@@ -223,7 +223,7 @@ func (s *Server) handleWatchSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	streamNDJSON(w, flusher, r.Context().Done(), sw.done, &s.metrics.WatchCoalesced, func() (any, bool) {
-		st := s.sweepStatus(sw)
+		st := sw.status()
 		return st, st.State.Terminal()
 	})
 }

@@ -217,10 +217,7 @@ func (s *Server) settlePeerResult(j *Job, body json.RawMessage) {
 	j.stolenBy = ""
 	j.mu.Unlock()
 	j.completed.Store(int64(j.spec.Trials))
-	if j.finish(StateDone, body, "") {
-		s.metrics.JobsCompleted.Add(1)
-		s.metrics.PeerHits.Add(1)
-	}
+	s.settle(j, StateQueued, StateDone, body, "", &s.metrics.PeerHits)
 }
 
 // replicateResult pushes a freshly computed body to every member of the
@@ -359,29 +356,19 @@ func (s *Server) awaitStolen(j *Job, thief string) {
 	for {
 		select {
 		case <-j.done:
-			// Settled through the API (cancel) — Cancel did the
-			// accounting and the journal tombstone; nothing left to
-			// follow.
-			j.cancel()
+			// Settled through the API (cancel); nothing left to follow.
 			return
 		case <-j.ctx.Done():
-			if j.finishIfQueued(StateCancelled, j.ctx.Err().Error()) {
-				s.metrics.JobsCancelled.Add(1)
-			}
-			s.journalSettle(j)
-			s.dropInflight(j)
+			s.settle(j, StateQueued, StateCancelled, nil, j.ctx.Err().Error())
 			return
 		case <-tick.C:
 		}
 		body, found, err := s.cluster.FetchFrom(j.ctx, thief, j.key)
 		if found {
-			s.settlePeerResult(j, body)
 			// The intent record may still be pending (the thief's commit
 			// crashed or lost a race); the body is durable locally now, so
-			// the journal is done with this job either way.
-			s.journalSettle(j)
-			j.cancel()
-			s.dropInflight(j)
+			// settling tombstones it either way.
+			s.settlePeerResult(j, body)
 			return
 		}
 		if err == nil {
@@ -399,38 +386,33 @@ func (s *Server) awaitStolen(j *Job, thief string) {
 		if fails < s.cfg.StealPollFailures {
 			continue
 		}
-		// Thief presumed to have lost the job: take it back. The intent
-		// record is re-stamped as a plain accept (reclaiming must survive
-		// a crash here too) and the job re-enqueues past MaxDepth —
-		// accepted work is never dropped.
+		// Thief presumed to have lost the job: take it back. Disowning the
+		// intent record makes enqueue re-stamp it as a plain accept
+		// (reclaiming must survive a crash here too), and the job
+		// re-enters its own flow past MaxDepth — accepted work is never
+		// dropped. The state is checked under s.mu: a cancel that settles
+		// the job after this check does its bookkeeping after the
+		// enqueue, one that settled it before has already done it.
 		s.mu.Lock()
-		if s.draining {
-			// Leave the intent record pending: the job settles cancelled
-			// for this process's clients, but a restart replays the intent
-			// and the job still runs somewhere — journal ownership is not
-			// discarded on the way down.
-			s.mu.Unlock()
-			if j.finishIfQueued(StateCancelled, "cluster: thief lost during drain") {
-				s.metrics.JobsCancelled.Add(1)
-			}
-			s.dropInflight(j)
-			return
-		}
 		j.mu.Lock()
 		j.stolenBy = ""
+		settled := j.state.Terminal()
 		j.mu.Unlock()
-		it := &queue.Item{
-			Key:      j.key,
-			Flow:     "interactive",
-			Class:    queue.ClassInteractive,
-			Priority: j.spec.Priority,
-			Deadline: j.deadline,
-			Payload:  j,
+		if settled {
+			s.mu.Unlock()
+			return
 		}
-		j.item = it
-		s.journalAccept(j, it)
+		j.journaled = false
+		err = s.enqueue(j, time.Now())
 		s.mu.Unlock()
-		s.sched.PushReplay(it)
+		if err != nil {
+			// Draining: the job settles cancelled for this process's
+			// clients, but its intent record stays pending, so a restart
+			// replays the intent and the job still runs somewhere —
+			// journal ownership is not discarded on the way down.
+			s.settle(j, StateQueued, StateCancelled, nil, "cluster: thief lost during drain")
+			return
+		}
 		s.metrics.JobsReclaimed.Add(1)
 		return
 	}
@@ -472,30 +454,8 @@ func (s *Server) adoptStolen(jobs []cluster.StolenJob) (adopted int, committed [
 			}
 			continue
 		}
-		j := s.newJob(canon, key)
-		class := queue.Class(sj.Class)
-		if class == "" {
-			class = queue.ClassInteractive
-		}
-		j.class = class
-		flow := sj.Flow
-		if flow == "" {
-			flow = "interactive"
-		}
-		it := &queue.Item{
-			Key:      key,
-			Flow:     flow,
-			Class:    class,
-			Priority: sj.Priority,
-			Deadline: j.deadline,
-			Payload:  j,
-		}
+		j := s.newJob(canon, key, queue.Class(sj.Class), sj.Flow)
 		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			j.cancel()
-			continue
-		}
 		if s.inflight[key] != nil {
 			// Already queued or running here under a local accept record;
 			// this node owns the key's fate, so the victim can tombstone.
@@ -506,14 +466,13 @@ func (s *Server) adoptStolen(jobs []cluster.StolenJob) (adopted int, committed [
 			}
 			continue
 		}
-		s.jobs[j.id] = j
-		s.inflight[key] = j
-		j.item = it
-		s.journalAccept(j, it)
-		s.mu.Unlock()
 		// Replay admission: a steal this node asked for must not bounce
 		// off its own MaxDepth.
-		s.sched.PushReplay(it)
+		err = s.enqueue(j, time.Now())
+		s.mu.Unlock()
+		if err != nil {
+			continue
+		}
 		s.metrics.JobsStolen.Add(1)
 		adopted++
 		if key == sj.Key {

@@ -201,13 +201,18 @@ var (
 // polling never contends with the worker; everything else is guarded by
 // mu.
 type Job struct {
-	id   string
+	id string
+	// seq is the number behind id, from the counter sweeps share; the
+	// registry orders jobs by it, not by id, whose string order breaks
+	// once the counter passes 999999.
+	seq  int64
 	key  string
 	spec JobSpec // canonical
-	// class is the scheduling class this job was admitted under, feeding
-	// the per-class duration observations behind Retry-After. Written
-	// once at admission (before the job is shared), read afterwards.
+	// class and flow are the scheduling envelope this job was admitted
+	// under; class also feeds the per-class duration observations behind
+	// Retry-After. Written when the job is created, read afterwards.
 	class queue.Class
+	flow  string
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -302,35 +307,6 @@ func (j *Job) status() *Status {
 		Result: j.body,
 		Error:  j.errMsg,
 	}
-}
-
-// finish moves the job to a terminal state exactly once.
-func (j *Job) finish(state State, body json.RawMessage, errMsg string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
-	}
-	j.state = state
-	j.body = body
-	j.errMsg = errMsg
-	close(j.done)
-	return true
-}
-
-// finishIfQueued settles a job that never started running. A running
-// job must settle through its worker instead, so the engine's partial
-// result is preserved.
-func (j *Job) finishIfQueued(state State, errMsg string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = state
-	j.errMsg = errMsg
-	close(j.done)
-	return true
 }
 
 // Server is the job orchestrator: a bounded fair-share scheduler
@@ -501,14 +477,18 @@ func (s *Server) CacheStats() (hits, misses int64) { return s.cache.Stats() }
 // (possibly coalesced) otherwise. Backpressure and drain are reported
 // as ErrQueueFull and ErrDraining.
 func (s *Server) Submit(spec JobSpec) (*Status, error) {
-	return s.submit(spec, queue.ClassInteractive, "interactive")
+	j, err := s.submit(spec, queue.ClassInteractive, "interactive")
+	if err != nil {
+		return nil, err
+	}
+	return j.status(), nil
 }
 
 // submit is Submit with an explicit scheduling envelope: individual
 // submissions share the "interactive" flow, sweep cells ride their
 // sweep's own flow (class "sweep"), so the fair scheduler round-robins
 // sweeps against singletons instead of draining whichever came first.
-func (s *Server) submit(spec JobSpec, class queue.Class, flow string) (*Status, error) {
+func (s *Server) submit(spec JobSpec, class queue.Class, flow string) (*Job, error) {
 	canon, err := spec.Canonicalize()
 	if err != nil {
 		return nil, err
@@ -516,11 +496,10 @@ func (s *Server) submit(spec JobSpec, class queue.Class, flow string) (*Status, 
 	key := canon.Key()
 	s.metrics.JobsSubmitted.Add(1)
 
-	j := s.newJob(canon, key)
-	j.class = class
+	j := s.newJob(canon, key, class, flow)
 	if body, ok := s.cache.Get(key); ok {
 		s.serveCached(j, body)
-		return j.status(), nil
+		return j, nil
 	}
 	if body, ok := s.storeGet(key); ok {
 		// Disk tier hit — a prior (possibly pre-restart) run settled this
@@ -528,7 +507,7 @@ func (s *Server) submit(spec JobSpec, class queue.Class, flow string) (*Status, 
 		// hit; no engine run, so coordd_engine_runs_total stays put.
 		s.cache.Put(key, body)
 		s.serveCached(j, body)
-		return j.status(), nil
+		return j, nil
 	}
 
 	s.mu.Lock()
@@ -543,7 +522,7 @@ func (s *Server) submit(spec JobSpec, class queue.Class, flow string) (*Status, 
 		s.wg.Add(1)
 		s.mu.Unlock()
 		go s.follow(j, leader)
-		return j.status(), nil
+		return j, nil
 	}
 	if body, ok := s.cache.Get(key); ok {
 		// The leader settled between the unlocked cache check and here.
@@ -551,56 +530,125 @@ func (s *Server) submit(spec JobSpec, class queue.Class, flow string) (*Status, 
 		// this second check under the lock cannot miss.
 		s.mu.Unlock()
 		s.serveCached(j, body)
-		return j.status(), nil
+		return j, nil
 	}
-	if s.draining {
-		s.mu.Unlock()
-		j.cancel()
-		return nil, ErrDraining
-	}
-	it := &queue.Item{
-		Key:      key,
-		Flow:     flow,
-		Class:    class,
-		Priority: canon.Priority,
-		Deadline: j.deadline,
-		Payload:  j,
-	}
-	if err := s.sched.Push(it); err != nil {
-		s.mu.Unlock()
-		j.cancel()
-		s.metrics.JobsRejected.Add(1)
-		return nil, ErrQueueFull
-	}
-	s.jobs[j.id] = j
-	s.inflight[key] = j
-	j.item = it
-	s.journalAccept(j, it)
+	err = s.enqueue(j, time.Time{})
 	s.mu.Unlock()
-	return j.status(), nil
+	if err != nil {
+		return nil, err
+	}
+	return j, nil
 }
 
-// journalAccept appends j's accept record (fsynced) under s.mu, so the
-// job's 202 is only sent once the accept is durable and no settle for
-// this key can be logged before it. Rejected jobs never reach here — a
-// full queue costs no fsync. Journal errors are advisory: the journal
-// demotes itself to memory-only and admission proceeds.
-func (s *Server) journalAccept(j *Job, it *queue.Item) {
-	if s.journal == nil {
-		return
+// enqueue is the one way a job enters the scheduler. Called under s.mu,
+// it builds j's scheduler entry from its envelope, pushes it, registers
+// j in jobs and inflight, and journals the accept (fsynced, so a 202 is
+// only sent once the accept is durable, and no settle for this key can
+// be logged before it) unless j already owns its key's record. A zero
+// accepted time is a fresh submission, refused with ErrQueueFull at
+// MaxDepth; accepted work coming back — a journal replay, an adopted
+// steal, a reclaim — passes its admission time and bypasses MaxDepth,
+// because accepted work is never dropped. A draining server refuses
+// both. Journal errors are advisory: the journal demotes itself to
+// memory-only and admission proceeds.
+func (s *Server) enqueue(j *Job, accepted time.Time) error {
+	it := &queue.Item{
+		Key:      j.key,
+		Flow:     j.flow,
+		Class:    j.class,
+		Priority: j.spec.Priority,
+		Deadline: j.deadline,
+		Enqueued: accepted,
+		Payload:  j,
+	}
+	var err error
+	switch {
+	case s.draining:
+		err = ErrDraining
+	case accepted.IsZero():
+		if s.sched.Push(it) != nil {
+			s.metrics.JobsRejected.Add(1)
+			err = ErrQueueFull
+		}
+	default:
+		s.sched.PushReplay(it)
+	}
+	if err != nil {
+		j.cancel()
+		return err
+	}
+	s.jobs[j.id] = j
+	s.inflight[j.key] = j
+	j.item = it
+	if s.journal == nil || j.journaled {
+		return nil
 	}
 	specJSON, err := json.Marshal(j.spec)
 	if err != nil {
-		return
+		return nil
 	}
 	j.journaled = true
 	_ = s.journal.Accept(queue.Record{
 		Key:      j.key,
-		Flow:     it.Flow,
-		Class:    string(it.Class),
-		Priority: it.Priority,
+		Flow:     j.flow,
+		Class:    string(j.class),
+		Priority: j.spec.Priority,
 		Spec:     specJSON,
+		At:       it.Enqueued.UnixNano(),
 	})
+	return nil
+}
+
+// settle is the one way a job settles: it moves j from the state from
+// to the terminal state to, exactly once. A job no longer in from is
+// left alone and settle reports false: someone else settled it, or —
+// for a queued cancel that lost the race to a worker — the worker will,
+// keeping the engine's partial result. The winner counts j in exactly
+// one of completed, failed and cancelled, and in each counter of also
+// (the peer hit or watchdog kill behind it), all before the new state
+// shows. It then withdraws j from the scheduler, tombstones the journal
+// record j owns while the key is still in the coalescing registry (so a
+// fresh accept of the key cannot be logged before this settle and then
+// erased by it), drops the key, releases j's context, and runs the
+// retention pass. A successful body is cached before settle, so once
+// the key leaves the registry a re-submission hits the cache.
+func (s *Server) settle(j *Job, from, to State, body json.RawMessage, errMsg string, also ...*atomic.Int64) bool {
+	j.mu.Lock()
+	if j.state != from {
+		j.mu.Unlock()
+		return false
+	}
+	j.state, j.body, j.errMsg = to, body, errMsg
+	switch to {
+	case StateDone:
+		s.metrics.JobsCompleted.Add(1)
+	case StateFailed:
+		s.metrics.JobsFailed.Add(1)
+	default:
+		s.metrics.JobsCancelled.Add(1)
+	}
+	for _, c := range also {
+		c.Add(1)
+	}
+	close(j.done)
+	j.mu.Unlock()
+
+	s.mu.Lock()
+	it := j.item
+	j.item = nil
+	s.mu.Unlock()
+	if it != nil {
+		s.sched.Remove(it)
+	}
+	s.journalSettle(j)
+	s.mu.Lock()
+	if s.inflight[j.key] == j {
+		delete(s.inflight, j.key)
+	}
+	s.mu.Unlock()
+	j.cancel()
+	s.gcJobs()
+	return true
 }
 
 // journalSettle tombstones j's journal entry, exactly once, and only if
@@ -622,9 +670,8 @@ func (s *Server) journalSettle(j *Job) {
 // replayJournal re-admits the pending jobs the journal recovered: each
 // record's spec is re-canonicalized, answered from the durable result
 // store when the settle beat the crash but its tombstone did not, and
-// otherwise pushed back onto the scheduler (bypassing MaxDepth —
-// accepted work is never dropped) in its original flow, with its
-// original admission time. Records that no longer canonicalize (a spec
+// otherwise enqueued again in its original flow, with its original
+// admission time. Records that no longer canonicalize (a spec
 // regression across versions) are tombstoned and dropped; a key that
 // re-canonicalizes differently (keyVersion bump) is re-accepted under
 // the new key so a later crash replays the right one.
@@ -644,7 +691,7 @@ func (s *Server) replayJournal() {
 			continue
 		}
 		key := canon.Key()
-		j := s.newJob(canon, key)
+		j := s.newJob(canon, key, queue.Class(rec.Class), rec.Flow)
 		s.metrics.QueueReplayed.Add(1)
 		if body, ok := s.storeGet(key); ok {
 			// The engine ran and the body persisted before the crash; only
@@ -655,18 +702,12 @@ func (s *Server) replayJournal() {
 			_ = s.journal.Settle(rec.Key)
 			continue
 		}
-		if key != rec.Key {
+		s.mu.Lock()
+		if key == rec.Key {
+			j.journaled = true
+		} else {
 			_ = s.journal.Settle(rec.Key)
 		}
-		class := queue.Class(rec.Class)
-		if class == "" {
-			class = queue.ClassInteractive
-		}
-		flow := rec.Flow
-		if flow == "" {
-			flow = "interactive"
-		}
-		j.class = class
 		if rec.Op == queue.OpIntent && rec.Thief != "" && s.cluster != nil && key == rec.Key {
 			// The crash interrupted a steal handoff after the intent was
 			// journaled but before the thief's commit tombstoned it. The
@@ -678,41 +719,24 @@ func (s *Server) replayJournal() {
 			// re-enqueuing here would be the double-execution half of the
 			// double-crash window the two-phase handoff closes.
 			j.stolenBy = rec.Thief
-			s.mu.Lock()
 			s.jobs[j.id] = j
 			s.inflight[key] = j
-			j.journaled = true
 			s.wg.Add(1)
 			s.mu.Unlock()
 			go s.awaitStolen(j, rec.Thief)
 			continue
 		}
-		it := &queue.Item{
-			Key:      key,
-			Flow:     flow,
-			Class:    class,
-			Priority: rec.Priority,
-			Deadline: j.deadline,
-			Payload:  j,
-		}
+		accepted := time.Now()
 		if rec.At > 0 {
-			it.Enqueued = time.Unix(0, rec.At)
+			accepted = time.Unix(0, rec.At)
 		}
-		s.mu.Lock()
-		s.jobs[j.id] = j
-		s.inflight[key] = j
-		j.item = it
-		if key == rec.Key {
-			j.journaled = true
-		} else {
-			s.journalAccept(j, it)
-		}
+		_ = s.enqueue(j, accepted)
 		s.mu.Unlock()
-		s.sched.PushReplay(it)
 	}
 }
 
 // serveCached settles a freshly created job inline with a memoized body.
+// It is a hit, not a settlement: no completed/failed/cancelled count.
 func (s *Server) serveCached(j *Job, body json.RawMessage) {
 	j.cached = true
 	j.state = StateDone
@@ -720,7 +744,10 @@ func (s *Server) serveCached(j *Job, body json.RawMessage) {
 	j.completed.Store(int64(j.spec.Trials))
 	close(j.done)
 	j.cancel()
-	s.register(j)
+	s.mu.Lock()
+	s.jobs[j.id] = j
+	s.mu.Unlock()
+	s.gcJobs()
 }
 
 // storeGet consults the durable tier; a nil store always misses.
@@ -749,7 +776,6 @@ func (s *Server) storePut(key string, body json.RawMessage) {
 // Cancel still apply: they detach it without touching the leader.
 func (s *Server) follow(j, leader *Job) {
 	defer s.wg.Done()
-	defer j.cancel()
 	select {
 	case <-leader.done:
 		leader.mu.Lock()
@@ -757,50 +783,40 @@ func (s *Server) follow(j, leader *Job) {
 		leader.mu.Unlock()
 		storeMax(&j.completed, leader.completed.Load())
 		storeMax(&j.failed, leader.failed.Load())
-		if j.finish(state, body, errMsg) {
-			switch state {
-			case StateDone:
-				s.metrics.JobsCompleted.Add(1)
-			case StateFailed:
-				s.metrics.JobsFailed.Add(1)
-			default:
-				s.metrics.JobsCancelled.Add(1)
-			}
-		}
+		s.settle(j, StateQueued, state, body, errMsg)
 	case <-j.ctx.Done():
-		if j.finishIfQueued(StateCancelled, j.ctx.Err().Error()) {
-			s.metrics.JobsCancelled.Add(1)
-		}
+		s.settle(j, StateQueued, StateCancelled, nil, j.ctx.Err().Error())
 	case <-j.done: // cancelled directly through the API
 	}
-	s.gcJobs()
 }
 
-func (s *Server) newJob(canon JobSpec, key string) *Job {
+// newJob creates a queued job under the next sequence number. An empty
+// class or flow (a journal or steal record without one) means the
+// interactive one.
+func (s *Server) newJob(canon JobSpec, key string, class queue.Class, flow string) *Job {
 	timeout := s.cfg.JobTimeout
 	if t := time.Duration(canon.TimeoutSec) * time.Second; t > 0 && t < timeout {
 		timeout = t
+	}
+	if class == "" {
+		class = queue.ClassInteractive
+	}
+	if flow == "" {
+		flow = "interactive"
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	deadline, _ := ctx.Deadline()
 	s.mu.Lock()
 	s.nextID++
-	id := fmt.Sprintf("j%06d", s.nextID)
+	seq := s.nextID
 	s.mu.Unlock()
 	return &Job{
-		id: id, key: key, spec: canon,
-		class: queue.ClassInteractive,
-		ctx:   ctx, cancel: cancel, deadline: deadline,
+		id: fmt.Sprintf("j%06d", seq), seq: seq, key: key, spec: canon,
+		class: class, flow: flow,
+		ctx: ctx, cancel: cancel, deadline: deadline,
 		done:  make(chan struct{}),
 		state: StateQueued,
 	}
-}
-
-func (s *Server) register(j *Job) {
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-	s.gcJobs()
 }
 
 // gcJobs evicts the oldest settled jobs past the retention limit,
@@ -826,7 +842,7 @@ func (s *Server) gcJobs() {
 	if len(settled) <= s.cfg.JobRetention {
 		return
 	}
-	sort.Slice(settled, func(a, b int) bool { return settled[a].id < settled[b].id })
+	sort.Slice(settled, func(a, b int) bool { return settled[a].seq < settled[b].seq })
 	for _, j := range settled[:len(settled)-s.cfg.JobRetention] {
 		delete(s.jobs, j.id)
 		s.metrics.JobsEvicted.Add(1)
@@ -860,7 +876,7 @@ func (s *Server) Jobs() []*Status {
 		all = append(all, j)
 	}
 	s.mu.Unlock()
-	sort.Slice(all, func(a, b int) bool { return all[a].id < all[b].id })
+	sort.Slice(all, func(a, b int) bool { return all[a].seq < all[b].seq })
 	out := make([]*Status, len(all))
 	for i, j := range all {
 		out[i] = j.status()
@@ -868,7 +884,7 @@ func (s *Server) Jobs() []*Status {
 	return out
 }
 
-// Cancel cancels a job. A queued job is finished immediately; a running
+// Cancel cancels a job. A queued job is settled immediately; a running
 // one has its context cancelled and settles (possibly with a partial
 // result) when its engine returns.
 func (s *Server) Cancel(id string) (*Status, error) {
@@ -876,38 +892,16 @@ func (s *Server) Cancel(id string) (*Status, error) {
 	if err != nil {
 		return nil, err
 	}
-	j.cancel()
-	if j.finishIfQueued(StateCancelled, context.Canceled.Error()) {
-		// Finished here means the worker never started it; the worker
-		// skips already-terminal jobs, so this is the only accounting.
-		// A running job settles through its worker, keeping whatever
-		// partial result the engine salvages. A settled leader must
-		// leave the coalescing registry now — its worker's own drop only
-		// happens once the job is dequeued. Withdraw it from the
-		// scheduler too (freeing queue capacity immediately) and
-		// tombstone its journal entry so a restart does not resurrect a
-		// cancelled job.
-		s.mu.Lock()
-		it := j.item
-		s.mu.Unlock()
-		if it != nil {
-			s.sched.Remove(it)
-		}
-		s.journalSettle(j)
-		s.dropInflight(j)
-		s.metrics.JobsCancelled.Add(1)
-	}
+	s.cancelJob(j)
 	return j.status(), nil
 }
 
-// dropInflight removes j from the coalescing registry if it is still
-// the registered job for its key.
-func (s *Server) dropInflight(j *Job) {
-	s.mu.Lock()
-	if s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
-	}
-	s.mu.Unlock()
+// cancelJob is Cancel on a job already in hand. Settling from queued
+// withdraws the job from the scheduler, frees its queue capacity, and
+// tombstones its journal record, so a restart does not resurrect it.
+func (s *Server) cancelJob(j *Job) {
+	j.cancel()
+	s.settle(j, StateQueued, StateCancelled, nil, context.Canceled.Error())
 }
 
 func (s *Server) worker() {
@@ -953,17 +947,8 @@ func (s *Server) freeSlot(j *Job) {
 }
 
 func (s *Server) runJob(j *Job, t *workerToken) {
-	defer j.cancel()
-	// The registry entry outlives the job body on purpose: the success
-	// path caches the body first, so by the time the key leaves the
-	// registry a re-submission is guaranteed to hit the cache.
-	defer s.dropInflight(j)
-	// LIFO: the journal tombstone lands while the key is still in the
-	// coalescing registry, so a fresh accept of the same key cannot be
-	// logged before this settle and then erased by it.
-	defer s.journalSettle(j)
 	j.mu.Lock()
-	if j.state.Terminal() { // cancelled while queued
+	if j.state.Terminal() { // cancelled while queued; that settle did the bookkeeping
 		j.mu.Unlock()
 		return
 	}
@@ -1015,43 +1000,34 @@ func (s *Server) runJob(j *Job, t *workerToken) {
 	s.metrics.TrialsExecuted.Add(j.completed.Load())
 	s.freeSlot(j)
 
+	// The watchdog may have settled the job first; settle then declines
+	// and the metrics stay single-counted.
 	var pe *PanicError
-	won := false
 	switch {
 	case err == nil:
-		// Cache before finish even if the watchdog already failed this
+		// Cache before settling even if the watchdog already failed this
 		// job: the body is valid deterministic work, and caching it first
 		// preserves the registry-outlives-body ordering for followers.
 		s.cache.Put(j.key, body)
 		s.storePut(j.key, body)
 		s.replicateResult(j.key, body)
-		if won = j.finish(StateDone, body, ""); won {
-			s.metrics.JobsCompleted.Add(1)
-		}
+		s.settle(j, StateRunning, StateDone, body, "")
 	case errors.As(err, &pe):
 		// A recovered engine panic fails this one job; the worker — and
 		// the daemon — keep serving. Checked before the context, so a
 		// panic racing a deadline still reports as the failure it is.
 		s.metrics.EnginePanics.Add(1)
-		if won = j.finish(StateFailed, nil, err.Error()); won {
-			s.metrics.JobsFailed.Add(1)
-		}
+		s.settle(j, StateRunning, StateFailed, nil, err.Error())
 	case j.ctx.Err() != nil:
 		// Cancelled or deadline-expired: keep the partial body so the
 		// client still gets every completed trial.
-		if won = j.finish(StateCancelled, body, err.Error()); won {
-			s.metrics.JobsCancelled.Add(1)
-		}
+		s.settle(j, StateRunning, StateCancelled, body, err.Error())
 	default:
-		if won = j.finish(StateFailed, body, err.Error()); won {
-			s.metrics.JobsFailed.Add(1)
-		}
+		s.settle(j, StateRunning, StateFailed, body, err.Error())
 	}
-	_ = won // the watchdog may have settled the job first; metrics stay single-counted
 	j.mu.Lock()
 	j.token = nil
 	j.mu.Unlock()
-	s.gcJobs()
 }
 
 // gauges snapshots the point-in-time values for /metrics and /healthz.

@@ -55,16 +55,16 @@ type SweepAxes struct {
 }
 
 // sweepCell is one grid point: the canonical job spec it expands to,
-// its content key, and the axis coordinates for presentation. The jobID
-// is filled by the dispatcher when the cell is submitted.
+// its content key, and the axis coordinates for presentation. The job
+// is filled by the dispatcher when the cell is submitted, and errMsg
+// when it never is (drain, cancel); both are guarded by Sweep.mu.
 type sweepCell struct {
 	params map[string]string
 	spec   JobSpec
 	key    string
 
-	mu     sync.Mutex
-	jobID  string
-	errMsg string // submit-time failure (drain/abort), when jobID is empty
+	job    *Job
+	errMsg string
 }
 
 // axisValue is one (name, rendered value, apply) triple during
@@ -207,12 +207,19 @@ func (ss SweepSpec) expand() ([]*sweepCell, string, error) {
 // and a done channel closed when every cell has settled.
 type Sweep struct {
 	id    string
+	seq   int64 // the number behind id; the registry orders sweeps by it
 	key   string
 	cells []*sweepCell
 	done  chan struct{}
 	// cancelled stops the dispatcher from submitting further cells;
 	// set by CancelSweep.
 	cancelled atomic.Bool
+
+	// mu guards the cells' jobs and errors, and final: the table frozen
+	// once every cell has settled, when the cells drop their jobs so a
+	// retained sweep holds no result bodies and outlives their eviction.
+	mu    sync.Mutex
+	final *SweepStatus
 }
 
 // SweepRow is one cell of the tradeoff table served by the sweep
@@ -280,7 +287,8 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*SweepStatus, error) {
 		return nil, ErrQueueFull
 	}
 	s.nextID++
-	sw.id = fmt.Sprintf("sw%06d", s.nextID)
+	sw.seq = s.nextID
+	sw.id = fmt.Sprintf("sw%06d", sw.seq)
 	s.sweeps[sw.id] = sw
 	// Registering the dispatcher under the lock orders this Add before
 	// Drain's Wait: a sweep accepted before draining is always waited
@@ -288,90 +296,88 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*SweepStatus, error) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 	go s.dispatchSweep(sw)
-	return s.sweepStatus(sw), nil
+	return sw.status(), nil
 }
 
 // dispatchSweep submits every cell, riding out queue-full backpressure
 // with a small backoff and aborting the remainder when the server
-// drains, then waits for all submitted cells to settle before marking
-// the sweep done.
+// drains or the sweep is cancelled, then waits for all submitted cells
+// to settle and freezes the sweep's table.
 func (s *Server) dispatchSweep(sw *Sweep) {
 	defer s.wg.Done()
 	// LIFO: the sweep settles (done closes), then the GC pass runs, so a
 	// just-settled sweep immediately counts toward the retention limit.
 	defer s.gcSweeps()
 	defer close(sw.done)
-	var jobs []*Job
+	abort := "" // once set, every cell not yet submitted settles with it
 	for _, c := range sw.cells {
-		for {
+		var j *Job
+		var err error
+		for abort == "" {
 			if sw.cancelled.Load() {
-				// Sweep-level cancel: stop dispatching. Every cell never
-				// submitted settles as cancelled right here; cells already
-				// in flight were cancelled by CancelSweep's fan-out and
-				// settle through their jobs.
-				for _, rest := range sw.cells {
-					rest.mu.Lock()
-					if rest.jobID == "" && rest.errMsg == "" {
-						rest.errMsg = "sweep cancelled"
-					}
-					rest.mu.Unlock()
-				}
-				goto wait
+				// Sweep-level cancel: cells already in flight were
+				// cancelled by CancelSweep's fan-out and settle through
+				// their jobs.
+				abort = "sweep cancelled"
+				break
 			}
 			// Cells enter the scheduler on the sweep's own flow: the fair
 			// pass round-robins this sweep against the interactive flow
 			// (and other sweeps), so a saturating grid no longer starves
 			// singleton submissions.
-			st, err := s.submit(c.spec, queue.ClassSweep, sw.id)
-			if err == nil {
-				c.mu.Lock()
-				c.jobID = st.ID
-				c.mu.Unlock()
-				if sw.cancelled.Load() {
-					// A CancelSweep that read this cell's empty jobID
-					// while submit ran cancelled nothing. It sets the flag
-					// before reading ids, so whichever side looks second
-					// cancels the job; Cancel is idempotent.
-					_, _ = s.Cancel(st.ID)
-				}
-				if j, jerr := s.job(st.ID); jerr == nil {
-					jobs = append(jobs, j)
-				}
+			if j, err = s.submit(c.spec, queue.ClassSweep, sw.id); err != ErrQueueFull {
 				break
 			}
-			if err == ErrQueueFull {
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			// Draining (or a spec regression): record and stop
+			time.Sleep(5 * time.Millisecond)
+		}
+		sw.mu.Lock()
+		switch {
+		case j != nil:
+			c.job = j
+		case abort != "":
+			c.errMsg = abort
+		default:
+			// Draining (or a spec regression): record it; on drain stop
 			// dispatching — the cells already in flight still settle.
-			c.mu.Lock()
 			c.errMsg = err.Error()
-			c.mu.Unlock()
 			if err == ErrDraining {
-				for _, rest := range sw.cells {
-					rest.mu.Lock()
-					if rest.jobID == "" && rest.errMsg == "" {
-						rest.errMsg = ErrDraining.Error()
-					}
-					rest.mu.Unlock()
-				}
-				goto wait
+				abort = c.errMsg
 			}
-			break
+		}
+		sw.mu.Unlock()
+		if j != nil && sw.cancelled.Load() {
+			// A CancelSweep that ran while submit did found no job here
+			// and cancelled nothing. It sets the flag before reading the
+			// cells, so whichever side looks second cancels the job;
+			// cancelling is idempotent.
+			s.cancelJob(j)
 		}
 	}
-wait:
-	for _, j := range jobs {
-		<-j.done
+	for _, c := range sw.cells {
+		if c.job != nil {
+			<-c.job.done
+		}
 	}
+	final := sw.status()
+	sw.mu.Lock()
+	sw.final = final
+	for _, c := range sw.cells {
+		c.job = nil
+	}
+	sw.mu.Unlock()
 }
 
-// sweepStatus renders the aggregate view: per-cell job status with the
+// status renders the aggregate view: per-cell job status with the
 // Wilson intervals unpacked from done bodies, and the rolled-up state —
 // running until every cell settles, then done / failed / cancelled by
-// worst cell outcome.
-func (s *Server) sweepStatus(sw *Sweep) *SweepStatus {
+// worst cell outcome. A settled sweep answers with its frozen table,
+// one value shared by every caller.
+func (sw *Sweep) status() *SweepStatus {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.final != nil {
+		return sw.final
+	}
 	st := &SweepStatus{
 		ID:    sw.id,
 		Key:   sw.key,
@@ -381,24 +387,20 @@ func (s *Server) sweepStatus(sw *Sweep) *SweepStatus {
 	settled := 0
 	for _, c := range sw.cells {
 		row := SweepRow{Params: c.params, Key: c.key, State: StateQueued}
-		c.mu.Lock()
-		jobID, errMsg := c.jobID, c.errMsg
-		c.mu.Unlock()
-		if jobID != "" {
-			if js, err := s.Get(jobID); err == nil {
-				row.JobID = js.ID
-				row.State = js.State
-				row.Cached = js.Cached
-				row.Coalesced = js.Coalesced
-				row.Completed = js.Progress.Completed
-				row.Error = js.Error
-				if js.State == StateDone {
-					fillRowFromBody(&row, js.Result)
-				}
+		if c.job != nil {
+			js := c.job.status()
+			row.JobID = js.ID
+			row.State = js.State
+			row.Cached = js.Cached
+			row.Coalesced = js.Coalesced
+			row.Completed = js.Progress.Completed
+			row.Error = js.Error
+			if js.State == StateDone {
+				fillRowFromBody(&row, js.Result)
 			}
-		} else if errMsg != "" {
+		} else if c.errMsg != "" {
 			row.State = StateCancelled
-			row.Error = errMsg
+			row.Error = c.errMsg
 		}
 		if row.State.Terminal() {
 			settled++
@@ -461,7 +463,7 @@ func (s *Server) gcSweeps() {
 	if len(settled) <= s.cfg.SweepRetention {
 		return
 	}
-	sort.Slice(settled, func(a, b int) bool { return settled[a].id < settled[b].id })
+	sort.Slice(settled, func(a, b int) bool { return settled[a].seq < settled[b].seq })
 	for _, sw := range settled[:len(settled)-s.cfg.SweepRetention] {
 		delete(s.sweeps, sw.id)
 		s.metrics.SweepsEvicted.Add(1)
@@ -481,9 +483,9 @@ func (s *Server) sweep(id string) (*Sweep, error) {
 
 // CancelSweep cancels a whole sweep: the dispatcher stops submitting
 // further cells, and the cancellation fans out to every cell already
-// dispatched through the ordinary job Cancel path — queued cells settle
+// dispatched through the ordinary job cancel path — queued cells settle
 // immediately, running cells when their engine notices, settled cells
-// are untouched (per-job Cancel is idempotent), so cancelling a settled
+// are untouched (cancelling is idempotent), so cancelling a settled
 // sweep is a no-op that just returns its status. Unknown ids are
 // ErrNotFound.
 func (s *Server) CancelSweep(id string) (*SweepStatus, error) {
@@ -492,17 +494,18 @@ func (s *Server) CancelSweep(id string) (*SweepStatus, error) {
 		return nil, err
 	}
 	sw.cancelled.Store(true)
+	var jobs []*Job
+	sw.mu.Lock()
 	for _, c := range sw.cells {
-		c.mu.Lock()
-		jobID := c.jobID
-		c.mu.Unlock()
-		if jobID != "" {
-			// The job may have been evicted by the jobs GC; a missing id
-			// just means that cell settled long ago.
-			_, _ = s.Cancel(jobID)
+		if c.job != nil {
+			jobs = append(jobs, c.job)
 		}
 	}
-	return s.sweepStatus(sw), nil
+	sw.mu.Unlock()
+	for _, j := range jobs {
+		s.cancelJob(j)
+	}
+	return sw.status(), nil
 }
 
 // GetSweep returns a sweep's current aggregate status.
@@ -511,7 +514,7 @@ func (s *Server) GetSweep(id string) (*SweepStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.sweepStatus(sw), nil
+	return sw.status(), nil
 }
 
 // Sweeps lists every known sweep, oldest first.
@@ -522,10 +525,10 @@ func (s *Server) Sweeps() []*SweepStatus {
 		all = append(all, sw)
 	}
 	s.mu.Unlock()
-	sort.Slice(all, func(a, b int) bool { return all[a].id < all[b].id })
+	sort.Slice(all, func(a, b int) bool { return all[a].seq < all[b].seq })
 	out := make([]*SweepStatus, len(all))
 	for i, sw := range all {
-		out[i] = s.sweepStatus(sw)
+		out[i] = sw.status()
 	}
 	return out
 }

@@ -75,17 +75,14 @@ func (s *Server) killStuck(j *Job, now time.Time) {
 		IdleFor:  now.Sub(time.Unix(0, j.lastMove.Load())),
 		Grace:    s.cfg.WatchdogGrace,
 	}
-	if !j.finish(StateFailed, nil, werr.Error()) {
+	// Freeing the slot first is safe either way: the worker and the
+	// watchdog free it at most once between them.
+	s.freeSlot(j)
+	if !s.settle(j, StateRunning, StateFailed, nil, werr.Error(), &s.metrics.WatchdogKills) {
 		// The engine returned between the scan and here; the worker
 		// settled the job itself and nothing is stuck anymore.
 		return
 	}
-	j.cancel()
-	s.metrics.WatchdogKills.Add(1)
-	s.metrics.JobsFailed.Add(1)
-	s.freeSlot(j)
-	s.journalSettle(j)
-	s.dropInflight(j)
 	if t != nil {
 		t.abandoned.Store(true)
 		s.mu.Lock()
@@ -101,5 +98,4 @@ func (s *Server) killStuck(j *Job, now time.Time) {
 		s.mu.Unlock()
 		t.release(&s.wg)
 	}
-	s.gcJobs()
 }
