@@ -237,6 +237,19 @@ func soakWait(t *testing.T, what string, d time.Duration, cond func() bool) {
 	}
 }
 
+// requestCount sums a cluster's peer-request cells for one op and
+// outcome across its peers — where replica pushes (replicate/ok) and
+// steal commits (commit/ok) are counted.
+func requestCount(cl *cluster.Cluster, op, outcome string) int64 {
+	var n int64
+	for _, r := range cl.Snapshot().Requests {
+		if r.Op == op && r.Outcome == outcome {
+			n += r.Count
+		}
+	}
+	return n
+}
+
 // breakerStateOn reads node addr's admin view of peer's breaker.
 func breakerStateOn(t *testing.T, addr, peer string) string {
 	t.Helper()
@@ -372,7 +385,7 @@ func TestSoakClusterKillRestartConvergence(t *testing.T) {
 	}
 	var pushes int64
 	for _, n := range nodes {
-		pushes += n.s.Metrics().ReplicaPushes.Load()
+		pushes += requestCount(n.cl, "replicate", "ok")
 	}
 	if pushes == 0 {
 		t.Fatal("no replica pushes recorded during phase 1")
@@ -452,8 +465,7 @@ func TestSoakClusterKillRestartConvergence(t *testing.T) {
 	})
 	ids3 := []string{blocker.ID, submitTo(a, 302).ID, submitTo(a, 303).ID}
 	soakWait(t, "B to steal and commit one job", 20*time.Second, func() bool {
-		m := b.s.Metrics()
-		return m.JobsStolen.Load() >= 1 && m.StealCommits.Load() >= 1
+		return b.s.Metrics().JobsStolen.Load() >= 1 && requestCount(b.cl, "commit", "ok") >= 1
 	})
 	b.kill()
 	b.boot(peers, service.Config{Workers: 2}, calm(132))
@@ -485,8 +497,7 @@ func TestSoakClusterKillRestartConvergence(t *testing.T) {
 	submitTo(a, 402)
 	submitTo(a, 403)
 	soakWait(t, "B to steal and commit one phase-4 job", 20*time.Second, func() bool {
-		m := b.s.Metrics()
-		return m.JobsStolen.Load() >= 1 && m.StealCommits.Load() >= 1
+		return b.s.Metrics().JobsStolen.Load() >= 1 && requestCount(b.cl, "commit", "ok") >= 1
 	})
 	a.kill()
 	b.openGate()

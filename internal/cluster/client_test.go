@@ -311,44 +311,45 @@ func TestNewValidation(t *testing.T) {
 // TestPeerCallBookkeeping pins how every peer call books what a peer
 // answered: whether an error comes back, the one {op,outcome} counter
 // that moves, the breaker's consecutive-failure count, and whether the
-// request reached the peer at all. Each call meets five peers: one that
+// request reached the peer at all. Each call meets six peers: one that
 // answers 200, one that answers 404, one that answers 503, a closed
-// listener, and a live peer whose breaker is already open (threshold 1,
-// one recorded failure) — which only a ping may get through.
+// listener, a live peer whose breaker is already open (threshold 1,
+// one recorded failure) — which only a ping may get through — and a
+// healthy peer dialed by a caller whose context is already done, which
+// sends nothing and leaves the breaker alone.
 func TestPeerCallBookkeeping(t *testing.T) {
-	ctx := context.Background()
 	key := strings.Repeat("ab", 32)
 	calls := []struct {
 		op   string
-		call func(c *Cluster, addr string) error
-		want [5]string // outcome against 200, 404, 503, dead, open
+		call func(ctx context.Context, c *Cluster, addr string) error
+		want [6]string // outcome against 200, 404, 503, dead, open, cancelled
 	}{
-		{"results", func(c *Cluster, addr string) error {
+		{"results", func(ctx context.Context, c *Cluster, addr string) error {
 			_, _, err := c.FetchFrom(ctx, addr, key)
 			return err
-		}, [5]string{"hit", "miss", "error", "error", "open"}},
-		{"replicate", func(c *Cluster, addr string) error {
+		}, [6]string{"hit", "miss", "error", "error", "open", "cancelled"}},
+		{"replicate", func(ctx context.Context, c *Cluster, addr string) error {
 			return c.PushTo(ctx, addr, key, []byte(`{}`))
-		}, [5]string{"ok", "error", "error", "error", "open"}},
-		{"probe", func(c *Cluster, addr string) error {
+		}, [6]string{"ok", "error", "error", "error", "open", "cancelled"}},
+		{"probe", func(ctx context.Context, c *Cluster, addr string) error {
 			_, err := c.HasResult(ctx, addr, key)
 			return err
-		}, [5]string{"hit", "miss", "error", "error", "open"}},
-		{"steal", func(c *Cluster, addr string) error {
+		}, [6]string{"hit", "miss", "error", "error", "open", "cancelled"}},
+		{"steal", func(ctx context.Context, c *Cluster, addr string) error {
 			_, err := c.StealFrom(ctx, addr, 1)
 			return err
-		}, [5]string{"miss", "error", "error", "error", "open"}},
-		{"commit", func(c *Cluster, addr string) error {
+		}, [6]string{"miss", "error", "error", "error", "open", "cancelled"}},
+		{"commit", func(ctx context.Context, c *Cluster, addr string) error {
 			return c.CommitSteal(ctx, addr, []string{key})
-		}, [5]string{"ok", "error", "error", "error", "open"}},
-		{"jobs", func(c *Cluster, addr string) error {
+		}, [6]string{"ok", "error", "error", "error", "open", "cancelled"}},
+		{"jobs", func(ctx context.Context, c *Cluster, addr string) error {
 			_, err := c.KnowsJob(ctx, addr, key)
 			return err
-		}, [5]string{"hit", "miss", "error", "error", "open"}},
-		{"ping", func(c *Cluster, addr string) error {
+		}, [6]string{"hit", "miss", "error", "error", "open", "cancelled"}},
+		{"ping", func(ctx context.Context, c *Cluster, addr string) error {
 			_, err := c.Ping(ctx, addr, 3)
 			return err
-		}, [5]string{"ok", "ok", "error", "error", "ok"}},
+		}, [6]string{"ok", "ok", "error", "error", "ok", "cancelled"}},
 	}
 	// Every live peer answers any path with its status; a 200 carries an
 	// empty steal grant, which is also a well-formed result body.
@@ -364,7 +365,9 @@ func TestPeerCallBookkeeping(t *testing.T) {
 	cases := []struct {
 		name   string
 		status int
-	}{{"200", http.StatusOK}, {"404", http.StatusNotFound}, {"503", http.StatusServiceUnavailable}, {"dead", http.StatusOK}, {"open", http.StatusOK}}
+	}{{"200", http.StatusOK}, {"404", http.StatusNotFound}, {"503", http.StatusServiceUnavailable}, {"dead", http.StatusOK}, {"open", http.StatusOK}, {"cancelled", http.StatusOK}}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, cl := range calls {
 		for i, cs := range cases {
 			var hits atomic.Int64
@@ -386,8 +389,12 @@ func TestPeerCallBookkeeping(t *testing.T) {
 			if cs.name == "open" {
 				br.Failure()
 			}
+			ctx := context.Background()
+			if cs.name == "cancelled" {
+				ctx = cancelled
+			}
 			want := cl.want[i]
-			err = cl.call(c, srv.URL)
+			err = cl.call(ctx, c, srv.URL)
 			srv.Close()
 			label := cl.op + "/" + cs.name
 			clean := want == "hit" || want == "miss" || want == "ok"
@@ -397,15 +404,15 @@ func TestPeerCallBookkeeping(t *testing.T) {
 			if reqs := c.Snapshot().Requests; len(reqs) != 1 || reqs[0].Op != cl.op || reqs[0].Outcome != want || reqs[0].Count != 1 {
 				t.Errorf("%s: counters = %+v, want one %s/%s", label, reqs, cl.op, want)
 			}
-			wantFails := 1
-			if clean {
-				wantFails = 0
+			wantFails := 0
+			if want == "error" || want == "open" {
+				wantFails = 1
 			}
 			if got := br.Failures(); got != wantFails {
 				t.Errorf("%s: breaker failures = %d, want %d", label, got, wantFails)
 			}
 			wantHits := int64(1)
-			if want == "open" || cs.name == "dead" {
+			if want == "open" || want == "cancelled" || cs.name == "dead" {
 				wantHits = 0
 			}
 			if got := hits.Load(); got != wantHits {

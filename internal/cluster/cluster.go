@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -215,6 +216,12 @@ func (c *Cluster) Factor() int { return c.factor }
 // ring is smaller). Every node computes the same set for a key.
 func (c *Cluster) ReplicaSet(key string) []string { return c.ring.Owners(key, c.factor) }
 
+// Replicas returns key's replica set without self, in ring order: the
+// peers that should hold key's result besides this node.
+func (c *Cluster) Replicas(key string) []string {
+	return slices.DeleteFunc(c.ReplicaSet(key), func(addr string) bool { return addr == c.self })
+}
+
 // PeerAddrs returns the dialable peers (self excluded), sorted.
 func (c *Cluster) PeerAddrs() []string {
 	out := make([]string, len(c.order))
@@ -246,7 +253,7 @@ func (c *Cluster) count(peerAddr, op, outcome string) {
 	c.mu.Unlock()
 }
 
-// FetchResult consults key's replica set for a stored result: the ring
+// FetchResult consults key's replicas for a stored result: the ring
 // owner first, then each distinct successor, skipping self (the caller
 // already missed locally). It returns on the first hit, along with the
 // address of the peer that served it (so the caller's read-repair can
@@ -254,10 +261,7 @@ func (c *Cluster) count(peerAddr, op, outcome string) {
 // fall through to the next replica — a peer problem must never be worse
 // than a cache miss.
 func (c *Cluster) FetchResult(ctx context.Context, key string) ([]byte, string, bool) {
-	for _, addr := range c.ReplicaSet(key) {
-		if addr == c.self {
-			continue
-		}
+	for _, addr := range c.Replicas(key) {
 		if body, found, _ := c.FetchFrom(ctx, addr, key); found {
 			return body, addr, true
 		}
@@ -266,19 +270,25 @@ func (c *Cluster) FetchResult(ctx context.Context, key string) ([]byte, string, 
 }
 
 // call is the one peer round trip under every peer method. It resolves
-// the peer, asks its breaker for admission (pings skip the gate: probing
-// peers the breaker has written off is the detector's job), sends the
-// request, and reads at most maxResultBytes of the answer. classify maps
-// the answer to an outcome: "hit", "miss" or "ok" book a Success on the
-// breaker, "error" books a Failure, as do transport and read errors.
-// Either way one {op,outcome} count moves. call returns the outcome
-// ("open" when the breaker refused, "" when no request was made) and
-// the error for every outcome but hit, miss and ok.
+// the peer, sends nothing when the caller has already given up (ctx
+// done on entry: outcome "cancelled", no breaker verdict — the peer did
+// nothing wrong), asks its breaker for admission (pings skip the gate:
+// probing peers the breaker has written off is the detector's job),
+// sends the request, and reads at most maxResultBytes of the answer.
+// classify maps the answer to an outcome: "hit", "miss" or "ok" book a
+// Success on the breaker, "error" books a Failure, as do transport and
+// read errors. Either way one {op,outcome} count moves. call returns
+// the outcome ("open" when the breaker refused, "" when the peer is
+// unknown) and the error for every outcome but hit, miss and ok.
 func (c *Cluster) call(ctx context.Context, peerAddr, op, method, path string, body []byte,
 	classify func(status int, body []byte) (string, error)) (string, error) {
 	p, ok := c.peers[NormalizeAddr(peerAddr)]
 	if !ok {
 		return "", fmt.Errorf("cluster: unknown peer %s", peerAddr)
+	}
+	if err := ctx.Err(); err != nil {
+		c.count(p.addr, op, "cancelled")
+		return "cancelled", err
 	}
 	if op != "ping" && !p.breaker.Allow() {
 		c.count(p.addr, op, "open")

@@ -466,3 +466,117 @@ func httpGetJSON(t *testing.T, url string) map[string]any {
 	}
 	return out
 }
+
+// A job whose deadline passed while it waited in the queue gives up
+// before its peer lookup: the lookup sends nothing and books
+// {results, cancelled}, and the healthy peer's breaker gets no verdict.
+// Charging the peer instead would open its breaker after three such
+// jobs and turn its results into local recomputes until the next good
+// ping.
+func TestClusterExpiredQueuedJobsSparePeerBreaker(t *testing.T) {
+	block := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(block) }) }
+	defer release()
+	a, _, _, _ := clusterPair(t,
+		Config{Workers: 1, StealInterval: -1, RepairInterval: -1, ProbeInterval: -1, WrapEngine: stallWrapper(800, block)},
+		Config{Workers: 1, StealInterval: -1, RepairInterval: -1, ProbeInterval: -1},
+	)
+	if _, err := a.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: 800}); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "blocker to occupy the worker", func() bool { return a.running.Load() == 1 })
+	var ids []string
+	for seed := uint64(801); seed <= 803; seed++ {
+		st, err := a.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: seed, TimeoutSec: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	waitUntil(t, "the queued jobs' deadlines to pass", func() bool {
+		for _, id := range ids {
+			if j, err := a.job(id); err != nil || j.ctx.Err() == nil {
+				return false
+			}
+		}
+		return true
+	})
+	release()
+	for _, id := range ids {
+		waitDone(t, a, id)
+	}
+	snap := a.cluster.Snapshot()
+	lookups := map[string]int64{}
+	for _, r := range snap.Requests {
+		if r.Op == "results" {
+			lookups[r.Outcome] += r.Count
+		}
+	}
+	if lookups["error"] != 0 || lookups["cancelled"] != 3 {
+		t.Fatalf("peer lookups by outcome = %v, want 3 cancelled and no error", lookups)
+	}
+	if p := snap.Peers[0]; p.Breaker != cluster.StateClosed || p.Failures != 0 {
+		t.Fatalf("healthy peer charged by expired jobs: breaker=%s failures=%d", p.Breaker, p.Failures)
+	}
+}
+
+// A victim grants work only to a thief in its own ring: a steal request
+// naming any other address gets an empty grant — nothing donated, so no
+// job is polled for at an address the cluster cannot dial and then run
+// twice — while a ring member still takes the surplus.
+func TestClusterStealGrantsOnlyRingMembers(t *testing.T) {
+	block := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(block) }) }
+	defer release()
+	a, b, addrA, _ := clusterPair(t,
+		Config{Workers: 1, StealInterval: -1, WrapEngine: stallWrapper(820, block)},
+		Config{Workers: 2, StealInterval: -1},
+	)
+	var ids []string
+	for i := 0; i < 4; i++ {
+		st, err := a.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 40, Seed: uint64(820 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+		if i == 0 {
+			waitUntil(t, "blocker to occupy the worker", func() bool { return a.running.Load() == 1 })
+		}
+	}
+
+	// Depth 3 on one worker leaves a surplus of 2, but not for a stranger.
+	resp, err := http.Post(addrA+cluster.StealPath, "application/json",
+		strings.NewReader(`{"want": 2, "thief": "http://10.255.255.1:9"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grant cluster.StealResponse
+	err = json.NewDecoder(resp.Body).Decode(&grant)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("steal by a non-member: status %d, decode %v", resp.StatusCode, err)
+	}
+	if len(grant.Jobs) != 0 || a.Metrics().JobsDonated.Load() != 0 {
+		t.Fatalf("non-member thief granted %d jobs (donated %d), want none", len(grant.Jobs), a.Metrics().JobsDonated.Load())
+	}
+
+	// The ring member B still gets the surplus.
+	b.stealRound()
+	if got := a.Metrics().JobsDonated.Load(); got != 2 {
+		t.Fatalf("A donated %d jobs to ring member B, want 2", got)
+	}
+	if got := b.Metrics().JobsStolen.Load(); got != 2 {
+		t.Fatalf("B adopted %d jobs, want 2", got)
+	}
+	release()
+	for _, id := range ids {
+		if st := waitDone(t, a, id); st.State != StateDone {
+			t.Fatalf("job %s: %s (%s)", id, st.State, st.Error)
+		}
+	}
+	if runs := a.Metrics().EngineRuns.Load() + b.Metrics().EngineRuns.Load(); runs != 4 {
+		t.Fatalf("engine runs = %d, want 4 (one per key)", runs)
+	}
+}

@@ -6,9 +6,10 @@ import (
 	"net/http"
 )
 
-// This file is the cluster's active-healing layer: fetch-path
-// read-repair and hinted-handoff delivery, both driven by the peer
-// failure detector (internal/cluster/detector.go) started in New.
+// This file is the cluster's active-healing layer: the one replica
+// write (push), fetch-path read-repair, and hinted-handoff delivery,
+// which the peer failure detector (internal/cluster/detector.go)
+// started in New triggers.
 //
 // The division of labor with the anti-entropy repair loop
 // (replicate.go): repair is the slow, complete backstop that eventually
@@ -16,6 +17,8 @@ import (
 // heal the specific gaps the node just observed — a fetch that fell
 // through part of the replica set, a push that bounced off a dead peer
 // — the moment the information exists, instead of an interval later.
+// All of them, and the compute fan-out (replicateResult), write through
+// push, so a lost push is made good the same way whoever sent it.
 
 // readRepairBudget bounds concurrently in-flight read-repair
 // goroutines. The budget is a skip gate, not a queue: a fetch storm
@@ -33,12 +36,28 @@ func (s *Server) handlePeerPing(w http.ResponseWriter, r *http.Request) {
 	}{Ok: true})
 }
 
+// push is the one replica write: it PUTs body to the replica addr and,
+// when that fails, queues the (addr, key) hint the failure detector
+// delivers once addr answers a ping again. The body stays in the local
+// tiers, so the hint carries only the pair. It reports whether the push
+// landed; the cluster's replicate request counters are its only count.
+// Called only on clustered servers, which always have a hint log.
+func (s *Server) push(ctx context.Context, addr, key string, body json.RawMessage) bool {
+	if s.cluster.PushTo(ctx, addr, key, body) != nil {
+		// An Add that cannot append still queues the hint in memory (the
+		// log demotes itself), so its error changes nothing here.
+		_ = s.hints.Add(addr, key)
+		return false
+	}
+	return true
+}
+
 // readRepair pushes a body recovered from peer `source` back to every
 // replica-set member that provably missed it: every set member before
 // source in ring order was consulted and answered miss or error, and
 // this node itself missed locally. Runs off the request path under the
 // in-flight budget; a full budget skips (the repair loop is the
-// backstop). Pushes that fail queue hints like any replica push.
+// backstop).
 func (s *Server) readRepair(key string, body json.RawMessage, source string) {
 	if s.cluster == nil || source == "" {
 		return
@@ -59,10 +78,7 @@ func (s *Server) readRepair(key string, body json.RawMessage, source string) {
 	go func() {
 		defer s.wg.Done()
 		defer func() { <-s.rrSem }()
-		for _, addr := range s.cluster.ReplicaSet(key) {
-			if addr == s.cluster.Self() {
-				continue
-			}
+		for _, addr := range s.cluster.Replicas(key) {
 			if addr == source {
 				// The serving peer holds the body by definition; replicas
 				// after it in ring order were never consulted, but probing
@@ -72,30 +88,14 @@ func (s *Server) readRepair(key string, body json.RawMessage, source string) {
 			has, err := s.cluster.HasResult(context.Background(), addr, key)
 			if err != nil {
 				// Unreachable replica: leave a hint, same as a failed push.
-				s.hintAdd(addr, key)
+				_ = s.hints.Add(addr, key)
 				continue
 			}
-			if has {
-				continue
+			if !has && s.push(context.Background(), addr, key, body) {
+				s.metrics.ReadRepairs.Add(1)
 			}
-			if err := s.cluster.PushTo(context.Background(), addr, key, body); err != nil {
-				s.metrics.IncReplicaPushFailure(addr)
-				s.hintAdd(addr, key)
-				continue
-			}
-			s.metrics.ReplicaPushes.Add(1)
-			s.metrics.ReadRepairs.Add(1)
 		}
 	}()
-}
-
-// hintAdd queues a hinted handoff: addr is owed key's body. Nil-safe
-// for standalone servers.
-func (s *Server) hintAdd(addr, key string) {
-	if s.hints == nil {
-		return
-	}
-	_ = s.hints.Add(addr, key)
 }
 
 // onPeerAlive is the failure detector's OnAlive callback: every
@@ -153,19 +153,10 @@ func (s *Server) deliverHints(addr string) {
 		if draining {
 			return
 		}
-		body, ok := s.cache.Get(key)
-		if !ok {
-			body, ok = s.storeGet(key)
-		}
-		if !ok {
-			_ = s.hints.Delivered(addr, key)
-			continue
-		}
-		if err := s.cluster.PushTo(context.Background(), addr, key, body); err != nil {
-			s.metrics.IncReplicaPushFailure(addr)
+		body, ok := s.local(key)
+		if ok && !s.push(context.Background(), addr, key, body) {
 			return
 		}
 		_ = s.hints.Delivered(addr, key)
-		s.metrics.ReplicaPushes.Add(1)
 	}
 }

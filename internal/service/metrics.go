@@ -50,13 +50,6 @@ type Metrics struct {
 	// JobsReclaimed counts donated jobs taken back and re-enqueued
 	// locally after their thief stopped answering.
 	JobsReclaimed atomic.Int64
-	// StealCommits counts successful phase-two commits this thief posted
-	// back to victims after journaling stolen jobs into its own WAL.
-	StealCommits atomic.Int64
-	// ReplicaPushes counts result bodies successfully pushed to replica
-	// peers (owner or successor), both on the compute path and by the
-	// anti-entropy repair loop.
-	ReplicaPushes atomic.Int64
 	// ReplicaRepairs counts bodies the anti-entropy repair loop pushed
 	// to replicas found missing them — the under-replication it healed.
 	ReplicaRepairs atomic.Int64
@@ -64,12 +57,6 @@ type Metrics struct {
 	// missed them, triggered by a fetch falling through the set — the
 	// fast-path heal, as opposed to the repair loop's background walk.
 	ReadRepairs atomic.Int64
-
-	// pfMu guards pushFailures, the per-peer count of replica pushes
-	// that failed (the previously silent "healed later" path), rendered
-	// as coordd_replica_push_failures_total{peer}.
-	pfMu         sync.Mutex
-	pushFailures map[string]int64
 
 	// EngineRuns counts actual engine executions: submissions minus
 	// cache hits, coalesced attaches, rejections, and queued cancels.
@@ -114,30 +101,31 @@ func NewMetrics() *Metrics {
 	copy(b, defaultBuckets)
 	sort.Float64s(b)
 	return &Metrics{
-		buckets:      b,
-		counts:       make([]int64, len(b)),
-		classSum:     make(map[queue.Class]float64),
-		classCount:   make(map[queue.Class]int64),
-		pushFailures: make(map[string]int64),
+		buckets:    b,
+		counts:     make([]int64, len(b)),
+		classSum:   make(map[queue.Class]float64),
+		classCount: make(map[queue.Class]int64),
 	}
 }
 
-// IncReplicaPushFailure counts one failed replica push toward peer.
-func (m *Metrics) IncReplicaPushFailure(peer string) {
-	m.pfMu.Lock()
-	m.pushFailures[peer]++
-	m.pfMu.Unlock()
-}
-
-// PushFailures snapshots the per-peer failed-push counters.
-func (m *Metrics) PushFailures() map[string]int64 {
-	m.pfMu.Lock()
-	defer m.pfMu.Unlock()
-	out := make(map[string]int64, len(m.pushFailures))
-	for k, v := range m.pushFailures {
-		out[k] = v
+// replicaCounts reads the replica-push and steal-commit series off the
+// cluster's own request counters, so each request is counted once:
+// pushes are replicate requests that came back ok, failures every other
+// replicate outcome by peer, and commits commit requests that came back
+// ok. A standalone daemon's empty snapshot gives zeros.
+func replicaCounts(snap cluster.Snapshot) (pushes int64, failures map[string]int64, commits int64) {
+	failures = make(map[string]int64)
+	for _, r := range snap.Requests {
+		switch {
+		case r.Op == "replicate" && r.Outcome == "ok":
+			pushes += r.Count
+		case r.Op == "replicate":
+			failures[r.Peer] += r.Count
+		case r.Op == "commit" && r.Outcome == "ok":
+			commits += r.Count
+		}
 	}
-	return out
+	return pushes, failures, commits
 }
 
 // ObserveJobSeconds records one job's wall-clock duration under its
@@ -219,6 +207,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 	gauge := func(name, help string, v int) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
+	pushes, pushFailures, stealCommits := replicaCounts(g.Cluster)
 	counter("coordd_jobs_submitted_total", "Jobs accepted for scheduling.", m.JobsSubmitted.Load())
 	counter("coordd_jobs_completed_total", "Jobs that finished successfully.", m.JobsCompleted.Load())
 	counter("coordd_jobs_failed_total", "Jobs that ended in an error.", m.JobsFailed.Load())
@@ -249,8 +238,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 	counter("coordd_jobs_stolen_total", "Pending jobs adopted from saturated peers.", m.JobsStolen.Load())
 	counter("coordd_jobs_donated_total", "Pending jobs granted to idle peers.", m.JobsDonated.Load())
 	counter("coordd_jobs_reclaimed_total", "Donated jobs taken back after their thief stopped answering.", m.JobsReclaimed.Load())
-	counter("coordd_steal_commits_total", "Two-phase steal commits posted back to victims.", m.StealCommits.Load())
-	counter("coordd_replica_pushes_total", "Result bodies successfully pushed to replica peers.", m.ReplicaPushes.Load())
+	counter("coordd_steal_commits_total", "Two-phase steal commits posted back to victims.", stealCommits)
+	counter("coordd_replica_pushes_total", "Result bodies successfully pushed to replica peers.", pushes)
 	counter("coordd_replica_repairs_total", "Under-replicated bodies healed by the anti-entropy repair loop.", m.ReplicaRepairs.Load())
 	counter("coordd_read_repairs_total", "Bodies pushed back to replicas that missed them after a fall-through fetch.", m.ReadRepairs.Load())
 	counter("coordd_queue_journal_accepts_total", "Accept records appended to the queue journal.", g.Journal.Accepts)
@@ -304,14 +293,10 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 			fmt.Fprintf(w, "coordd_peer_health{peer=%q} %d\n", p.Addr, h)
 		}
 		fmt.Fprintf(w, "# HELP coordd_replica_push_failures_total Replica pushes that failed, by target peer (hint queued; repair is the backstop).\n# TYPE coordd_replica_push_failures_total counter\n")
-		pf := m.PushFailures()
-		peers := make([]string, 0, len(pf))
-		for p := range pf {
-			peers = append(peers, p)
-		}
-		sort.Strings(peers)
-		for _, p := range peers {
-			fmt.Fprintf(w, "coordd_replica_push_failures_total{peer=%q} %d\n", p, pf[p])
+		for _, p := range g.Cluster.Peers {
+			if n := pushFailures[p.Addr]; n > 0 {
+				fmt.Fprintf(w, "coordd_replica_push_failures_total{peer=%q} %d\n", p.Addr, n)
+			}
 		}
 	}
 	if g.HintsEnabled {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"time"
 
 	"coordattack/internal/cluster"
@@ -12,16 +13,17 @@ import (
 )
 
 // This file is the service side of the static-peer cluster
-// (internal/cluster): the peer-protocol HTTP handlers, the worker-path
-// peer lookup, and the work-stealing machinery.
+// (internal/cluster): the peer-protocol HTTP handlers, the compute
+// fan-out of fresh results, and the work-stealing machinery.
 //
 // Results are content-addressed (coordd/v2 keys), so any node can serve
 // any node's result byte-for-byte. The consistent-hash ring names a
 // replica set per key — the owner plus its distinct successors, Factor
 // peers in total; a local miss consults the replicas in ring order
-// before running the engine, and every computed body is replicated to
-// all of them (the anti-entropy loop in replicate.go heals any push
-// that failed), so any single node death loses no cached result.
+// before running the engine, and every computed body is pushed to all
+// of them — a failed push leaves a hint (handoff.go), and the
+// anti-entropy loop in replicate.go is the backstop — so any single
+// node death loses no cached result.
 //
 // Stealing moves *pending* jobs from a saturated node (the victim) to
 // an idle one (the thief) in two phases. INTENT: the victim re-stamps
@@ -62,12 +64,7 @@ func (s *Server) handlePeerGetResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "malformed result key"})
 		return
 	}
-	body, ok := s.cache.Get(key)
-	if !ok {
-		if body, ok = s.storeGet(key); ok {
-			s.cache.Put(key, body)
-		}
-	}
+	body, ok := s.local(key)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "no result for key"})
 		return
@@ -95,8 +92,7 @@ func (s *Server) handlePeerPutResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad result body"})
 		return
 	}
-	s.cache.Put(key, json.RawMessage(body))
-	s.storePut(key, json.RawMessage(body))
+	s.keep(key, body)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -156,14 +152,10 @@ func (s *Server) handlePeerKnowsJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	_, inflight := s.inflight[key]
+	_, known := s.inflight[key]
 	s.mu.Unlock()
-	known := inflight
 	if !known {
-		_, known = s.cache.Get(key)
-	}
-	if !known {
-		_, known = s.storeGet(key)
+		_, known = s.local(key)
 	}
 	if !known {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown key"})
@@ -182,36 +174,15 @@ func (s *Server) handleAdminCluster(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "cluster disabled"})
 		return
 	}
-	writeJSON(w, http.StatusOK, adminCluster{
-		Snapshot:    s.cluster.Snapshot(),
-		Replication: s.replicationInfo(),
-	})
-}
-
-// peerFetch consults the key's replica set for an already-computed
-// body: the ring owner first, then each distinct successor, skipping
-// self (the local tiers already missed). Called on the worker path
-// before the engine runs; any peer failure degrades to local compute —
-// a dead replica costs one breaker-limited timeout, never correctness.
-// The serving peer's address comes back with the body so the caller's
-// read-repair can skip the one replica known to hold it.
-func (s *Server) peerFetch(j *Job) (json.RawMessage, string, bool) {
-	if s.cluster == nil {
-		return nil, "", false
-	}
-	body, from, ok := s.cluster.FetchResult(j.ctx, j.key)
-	if !ok {
-		return nil, "", false
-	}
-	return json.RawMessage(body), from, true
+	snap := s.cluster.Snapshot()
+	writeJSON(w, http.StatusOK, adminCluster{Snapshot: snap, Replication: s.replicationInfo(snap)})
 }
 
 // settlePeerResult finishes j with a body retrieved from a peer —
 // served as a cache hit: memoized locally, full trial count, no engine
 // run counted.
 func (s *Server) settlePeerResult(j *Job, body json.RawMessage) {
-	s.cache.Put(j.key, body)
-	s.storePut(j.key, body)
+	s.keep(j.key, body)
 	j.mu.Lock()
 	j.cached = true
 	j.stolenBy = ""
@@ -220,15 +191,11 @@ func (s *Server) settlePeerResult(j *Job, body json.RawMessage) {
 	s.settle(j, StateQueued, StateDone, body, "", &s.metrics.PeerHits)
 }
 
-// replicateResult pushes a freshly computed body to every member of the
-// key's replica set (owner + distinct successors, self excluded), off
-// the worker path. A push that fails is no longer silently dropped: it
-// is counted per peer (coordd_replica_push_failures_total{peer}) and a
-// hint is queued so the failure detector delivers the body the moment
-// the peer answers a probe again — the anti-entropy repair loop stays
-// as the backstop, not the primary heal. The body is already durable
-// locally (storePut runs before this), so the hint carries only the
-// (peer, key) pair.
+// replicateResult pushes a freshly computed body to every replica of
+// its key (owner + distinct successors, self excluded), off the worker
+// path. A push that fails leaves a hint the failure detector delivers
+// the moment the peer answers a probe again — the anti-entropy repair
+// loop stays as the backstop, not the primary heal.
 func (s *Server) replicateResult(key string, body json.RawMessage) {
 	if s.cluster == nil {
 		return
@@ -236,16 +203,8 @@ func (s *Server) replicateResult(key string, body json.RawMessage) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		for _, addr := range s.cluster.ReplicaSet(key) {
-			if addr == s.cluster.Self() {
-				continue
-			}
-			if err := s.cluster.PushTo(context.Background(), addr, key, body); err != nil {
-				s.metrics.IncReplicaPushFailure(addr)
-				s.hintAdd(addr, key)
-				continue
-			}
-			s.metrics.ReplicaPushes.Add(1)
+		for _, addr := range s.cluster.Replicas(key) {
+			s.push(context.Background(), addr, key, body)
 		}
 	}()
 }
@@ -253,12 +212,15 @@ func (s *Server) replicateResult(key string, body json.RawMessage) {
 // stealVictim donates up to want pending jobs to thief. The grant is
 // capped at the backlog surplus beyond this node's own worker pool —
 // a node never donates work its own idle-in-a-moment workers would
-// take next. Donated jobs keep their HTTP-visible Job here: the journal
-// record is re-stamped as a steal intent (fsynced before the grant
-// leaves; the tombstone waits for the thief's commit) and a follower
-// goroutine polls the thief for the result.
+// take next — and is empty for a thief outside this node's ring, whose
+// address the follower could not dial (a node advertising 0.0.0.0, say):
+// the victim would reclaim the jobs while the thief ran them too.
+// Donated jobs keep their HTTP-visible Job here: the journal record is
+// re-stamped as a steal intent (fsynced before the grant leaves; the
+// tombstone waits for the thief's commit) and a follower goroutine
+// polls the thief for the result.
 func (s *Server) stealVictim(want int, thief string) []cluster.StolenJob {
-	if s.cluster == nil || want < 1 {
+	if s.cluster == nil || want < 1 || !slices.Contains(s.cluster.PeerAddrs(), cluster.NormalizeAddr(thief)) {
 		return nil
 	}
 	s.mu.Lock()
@@ -441,14 +403,7 @@ func (s *Server) adoptStolen(jobs []cluster.StolenJob) (adopted int, committed [
 		// are committed: the victim tombstones the key it granted, so the
 		// commit must vouch for that exact key.
 		key := canon.Key()
-		if _, ok := s.cache.Get(key); ok {
-			if key == sj.Key {
-				committed = append(committed, key)
-			}
-			continue
-		}
-		if body, ok := s.storeGet(key); ok {
-			s.cache.Put(key, body)
+		if _, ok := s.local(key); ok {
 			if key == sj.Key {
 				committed = append(committed, key)
 			}
@@ -516,9 +471,7 @@ func (s *Server) stealRound() {
 			// records and its follower waits on this node, which now
 			// provably knows the jobs.
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			if err := s.cluster.CommitSteal(ctx, peer, committed); err == nil {
-				s.metrics.StealCommits.Add(1)
-			}
+			_ = s.cluster.CommitSteal(ctx, peer, committed)
 			cancel()
 		}
 	}

@@ -13,11 +13,12 @@ import (
 // successor replication. The synchronous half (replicateResult in
 // peer.go) pushes every freshly computed body to the key's replica set;
 // this loop walks the local durable store and re-pushes any body a
-// replica peer turns out not to hold — because a push failed while the
-// peer was down, because the peer restarted with an empty disk, or
+// replica peer turns out not to hold — because a push failed and its
+// hint was shed, because the peer restarted with an empty disk, or
 // because a membership edit moved the key's replica set. Like the steal
 // loop it is idle-paced: one bounded batch of keys per tick, probed
-// with cheap HEAD requests, pushing bodies only on a confirmed miss.
+// with cheap HEAD requests, pushing bodies (through push, handoff.go)
+// only on a confirmed miss.
 
 // adminCluster is the body of GET /v1/admin/cluster: the cluster
 // snapshot (ring membership, breakers, request counters) plus the
@@ -36,7 +37,8 @@ type ReplicationInfo struct {
 	// configured (nothing durable to repair from).
 	LocalKeys int `json:"local_keys"`
 	// Pushes and Repairs mirror coordd_replica_pushes_total and
-	// coordd_replica_repairs_total.
+	// coordd_replica_repairs_total; Pushes, like PushFailures, is read
+	// off the cluster's replicate request counters.
 	Pushes  int64 `json:"pushes"`
 	Repairs int64 `json:"repairs"`
 	// RepairRuns counts completed repair passes; LastRepairUnix is the
@@ -55,18 +57,16 @@ type ReplicationInfo struct {
 	Hints *hints.Stats `json:"hints,omitempty"`
 }
 
-// replicationInfo snapshots the replication summary for the admin
-// endpoint. Called with s.cluster non-nil.
-func (s *Server) replicationInfo() *ReplicationInfo {
+// replicationInfo summarizes replication for the admin endpoint. The
+// push counts are read off snap, the cluster snapshot served beside it,
+// so the two agree.
+func (s *Server) replicationInfo(snap cluster.Snapshot) *ReplicationInfo {
 	info := &ReplicationInfo{
 		LocalKeys:   -1,
-		Pushes:      s.metrics.ReplicaPushes.Load(),
 		Repairs:     s.metrics.ReplicaRepairs.Load(),
 		ReadRepairs: s.metrics.ReadRepairs.Load(),
 	}
-	if pf := s.metrics.PushFailures(); len(pf) > 0 {
-		info.PushFailures = pf
-	}
+	info.Pushes, info.PushFailures, _ = replicaCounts(snap)
 	if s.hints != nil {
 		hs := s.hints.Stats()
 		info.Hints = &hs
@@ -139,30 +139,27 @@ func (s *Server) repairPass(ctx context.Context) (scanned, repaired int) {
 }
 
 // repairKey probes key's replica peers and pushes the local body to any
-// that miss it, returning how many pushes it made. Probe errors (peer
-// down, breaker open) skip the peer — the next pass retries; pushing
-// through an open breaker would just burn the probe budget.
+// that miss it, returning how many pushes landed; one that fails leaves
+// a hint like any other. Probe errors (peer down, breaker open) skip
+// the peer — the next pass retries; pushing through an open breaker
+// would just burn the probe budget.
 func (s *Server) repairKey(ctx context.Context, key string) int {
 	pushed := 0
 	var body []byte
-	for _, addr := range s.cluster.ReplicaSet(key) {
-		if addr == s.cluster.Self() {
-			continue
-		}
+	for _, addr := range s.cluster.Replicas(key) {
 		has, err := s.cluster.HasResult(ctx, addr, key)
 		if err != nil || has {
 			continue
 		}
 		if body == nil {
-			b, ok := s.storeGet(key)
+			b, ok := s.local(key)
 			if !ok {
 				return pushed // evicted since the key list was taken
 			}
 			body = b
 		}
-		if err := s.cluster.PushTo(ctx, addr, key, body); err == nil {
+		if s.push(ctx, addr, key, body) {
 			pushed++
-			s.metrics.ReplicaPushes.Add(1)
 			s.metrics.ReplicaRepairs.Add(1)
 		}
 	}

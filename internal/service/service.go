@@ -497,15 +497,10 @@ func (s *Server) submit(spec JobSpec, class queue.Class, flow string) (*Job, err
 	s.metrics.JobsSubmitted.Add(1)
 
 	j := s.newJob(canon, key, class, flow)
-	if body, ok := s.cache.Get(key); ok {
-		s.serveCached(j, body)
-		return j, nil
-	}
-	if body, ok := s.storeGet(key); ok {
-		// Disk tier hit — a prior (possibly pre-restart) run settled this
-		// key. Promote it into the memory LRU and serve it as a cache
-		// hit; no engine run, so coordd_engine_runs_total stays put.
-		s.cache.Put(key, body)
+	if body, ok := s.local(key); ok {
+		// A prior (possibly pre-restart) run settled this key: serve it
+		// as a cache hit; no engine run, so coordd_engine_runs_total
+		// stays put.
 		s.serveCached(j, body)
 		return j, nil
 	}
@@ -693,11 +688,10 @@ func (s *Server) replayJournal() {
 		key := canon.Key()
 		j := s.newJob(canon, key, queue.Class(rec.Class), rec.Flow)
 		s.metrics.QueueReplayed.Add(1)
-		if body, ok := s.storeGet(key); ok {
+		if body, ok := s.local(key); ok {
 			// The engine ran and the body persisted before the crash; only
 			// the tombstone was lost. Serve the stored result — no second
 			// engine run — and settle the journal now.
-			s.cache.Put(key, body)
 			s.serveCached(j, body)
 			_ = s.journal.Settle(rec.Key)
 			continue
@@ -750,23 +744,33 @@ func (s *Server) serveCached(j *Job, body json.RawMessage) {
 	s.gcJobs()
 }
 
-// storeGet consults the durable tier; a nil store always misses.
-func (s *Server) storeGet(key string) (json.RawMessage, bool) {
+// local is the one local result lookup: the memory LRU, then the
+// durable store (a nil store always misses), promoting a disk hit into
+// the LRU.
+func (s *Server) local(key string) (json.RawMessage, bool) {
+	if body, ok := s.cache.Get(key); ok {
+		return body, true
+	}
 	if s.store == nil {
 		return nil, false
 	}
-	return s.store.Get(key)
+	body, ok := s.store.Get(key)
+	if ok {
+		s.cache.Put(key, body)
+	}
+	return body, ok
 }
 
-// storePut writes a completed body through to the durable tier. Store
-// errors are advisory — the job already succeeded and is cached in
-// memory; the store demotes itself to read-only (and logs once), so the
-// daemon degrades to memory-only instead of failing jobs.
-func (s *Server) storePut(key string, body json.RawMessage) {
-	if s.store == nil {
-		return
+// keep is the one local result write: the body goes into the memory LRU
+// and through to the durable store. Store errors are advisory — the
+// body is already in memory; the store demotes itself to read-only (and
+// logs once), so the daemon degrades to memory-only instead of failing
+// jobs.
+func (s *Server) keep(key string, body json.RawMessage) {
+	s.cache.Put(key, body)
+	if s.store != nil {
+		_ = s.store.Put(key, body)
 	}
-	_ = s.store.Put(key, body)
 }
 
 // follow settles a coalesced follower when its leader does, mirroring
@@ -954,16 +958,20 @@ func (s *Server) runJob(j *Job, t *workerToken) {
 	}
 	j.mu.Unlock()
 	// Cluster lookup sits between the local tiers and the engine: the
-	// key's ring owner may already hold the body another node computed.
+	// key's replicas may already hold the body another node computed.
 	// Checked before the job is marked running — a peer hit settles it
-	// as a cache hit with no engine run counted. A hit that had to come
+	// as a cache hit with no engine run counted; any peer failure
+	// degrades to local compute, so a dead replica costs one
+	// breaker-limited timeout, never correctness. A hit that had to come
 	// from a peer means some replicas (this node included, if it is in
 	// the set) were missing the body: read-repair pushes it back to
 	// them off the request path.
-	if body, from, ok := s.peerFetch(j); ok {
-		s.settlePeerResult(j, body)
-		s.readRepair(j.key, body, from)
-		return
+	if s.cluster != nil {
+		if body, from, ok := s.cluster.FetchResult(j.ctx, j.key); ok {
+			s.settlePeerResult(j, body)
+			s.readRepair(j.key, body, from)
+			return
+		}
 	}
 	j.mu.Lock()
 	if j.state.Terminal() { // cancelled during the peer lookup
@@ -1008,8 +1016,7 @@ func (s *Server) runJob(j *Job, t *workerToken) {
 		// Cache before settling even if the watchdog already failed this
 		// job: the body is valid deterministic work, and caching it first
 		// preserves the registry-outlives-body ordering for followers.
-		s.cache.Put(j.key, body)
-		s.storePut(j.key, body)
+		s.keep(j.key, body)
 		s.replicateResult(j.key, body)
 		s.settle(j, StateRunning, StateDone, body, "")
 	case errors.As(err, &pe):
