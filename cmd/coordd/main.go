@@ -12,7 +12,8 @@
 //
 // On SIGINT/SIGTERM the daemon drains: it stops accepting jobs, lets
 // queued and running work finish (up to -drain-timeout, after which
-// in-flight jobs are cancelled and settle with partial results), and
+// in-flight jobs are cancelled and settle with partial results, and an
+// engine still running one -watchdog-grace later is abandoned), and
 // exits cleanly.
 package main
 
@@ -61,7 +62,7 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) int {
 		sweepKeep    = fs.Int("sweep-retention", 256, "settled sweeps kept queryable before eviction")
 		jobKeep      = fs.Int("job-retention", 4096, "settled jobs kept queryable before eviction")
 		wdInterval   = fs.Duration("watchdog-interval", 5*time.Second, "stuck-job watchdog scan interval (0 = watchdog off)")
-		wdGrace      = fs.Duration("watchdog-grace", 30*time.Second, "time past deadline with no progress before a job is declared stuck")
+		wdGrace      = fs.Duration("watchdog-grace", 30*time.Second, "time past deadline with no progress before a job is declared stuck; also how long a forced drain waits before abandoning a wedged engine")
 		peers        = fs.String("peers", "", "comma-separated peer base URLs forming a static cluster; empty = standalone")
 		advertise    = fs.String("advertise", "", "this node's address as peers reach it (default: the listen address)")
 		peerTimeout  = fs.Duration("peer-timeout", 500*time.Millisecond, "per-request timeout for peer calls")

@@ -81,6 +81,15 @@ func (b *Breaker) Failure() {
 	b.mu.Unlock()
 }
 
+// Release records an exchange the caller abandoned: no verdict on the
+// peer, and a half-open probe slot is handed back so the next request
+// may probe.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
 // State reports "closed", "open", or "half-open" (cooldown elapsed,
 // next request is a probe).
 func (b *Breaker) State() string {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -311,51 +312,63 @@ func TestNewValidation(t *testing.T) {
 // TestPeerCallBookkeeping pins how every peer call books what a peer
 // answered: whether an error comes back, the one {op,outcome} counter
 // that moves, the breaker's consecutive-failure count, and whether the
-// request reached the peer at all. Each call meets six peers: one that
-// answers 200, one that answers 404, one that answers 503, a closed
-// listener, a live peer whose breaker is already open (threshold 1,
-// one recorded failure) — which only a ping may get through — and a
+// request reached the peer at all. Each call meets seven peers: one
+// that answers 200, one that answers 404, one that answers 503, a
+// closed listener, a live peer whose breaker is already open (threshold
+// 1, one recorded failure) — which only a ping may get through — a
 // healthy peer dialed by a caller whose context is already done, which
-// sends nothing and leaves the breaker alone.
+// sends nothing and leaves the breaker alone, and a healthy peer whose
+// caller gives up while the peer holds the request, which books
+// cancelled and leaves the breaker alone too.
 func TestPeerCallBookkeeping(t *testing.T) {
 	key := strings.Repeat("ab", 32)
 	calls := []struct {
 		op   string
 		call func(ctx context.Context, c *Cluster, addr string) error
-		want [6]string // outcome against 200, 404, 503, dead, open, cancelled
+		want [7]string // outcome against 200, 404, 503, dead, open, cancelled, gave up
 	}{
 		{"results", func(ctx context.Context, c *Cluster, addr string) error {
 			_, _, err := c.FetchFrom(ctx, addr, key)
 			return err
-		}, [6]string{"hit", "miss", "error", "error", "open", "cancelled"}},
+		}, [7]string{"hit", "miss", "error", "error", "open", "cancelled", "cancelled"}},
 		{"replicate", func(ctx context.Context, c *Cluster, addr string) error {
 			return c.PushTo(ctx, addr, key, []byte(`{}`))
-		}, [6]string{"ok", "error", "error", "error", "open", "cancelled"}},
+		}, [7]string{"ok", "error", "error", "error", "open", "cancelled", "cancelled"}},
 		{"probe", func(ctx context.Context, c *Cluster, addr string) error {
 			_, err := c.HasResult(ctx, addr, key)
 			return err
-		}, [6]string{"hit", "miss", "error", "error", "open", "cancelled"}},
+		}, [7]string{"hit", "miss", "error", "error", "open", "cancelled", "cancelled"}},
 		{"steal", func(ctx context.Context, c *Cluster, addr string) error {
 			_, err := c.StealFrom(ctx, addr, 1)
 			return err
-		}, [6]string{"miss", "error", "error", "error", "open", "cancelled"}},
+		}, [7]string{"miss", "error", "error", "error", "open", "cancelled", "cancelled"}},
 		{"commit", func(ctx context.Context, c *Cluster, addr string) error {
 			return c.CommitSteal(ctx, addr, []string{key})
-		}, [6]string{"ok", "error", "error", "error", "open", "cancelled"}},
+		}, [7]string{"ok", "error", "error", "error", "open", "cancelled", "cancelled"}},
 		{"jobs", func(ctx context.Context, c *Cluster, addr string) error {
 			_, err := c.KnowsJob(ctx, addr, key)
 			return err
-		}, [6]string{"hit", "miss", "error", "error", "open", "cancelled"}},
+		}, [7]string{"hit", "miss", "error", "error", "open", "cancelled", "cancelled"}},
 		{"ping", func(ctx context.Context, c *Cluster, addr string) error {
 			_, err := c.Ping(ctx, addr, 3)
 			return err
-		}, [6]string{"ok", "ok", "error", "error", "ok", "cancelled"}},
+		}, [7]string{"ok", "ok", "error", "error", "ok", "cancelled", "cancelled"}},
 	}
 	// Every live peer answers any path with its status; a 200 carries an
-	// empty steal grant, which is also a well-formed result body.
-	serve := func(status int, hits *atomic.Int64) *httptest.Server {
+	// empty steal grant, which is also a well-formed result body. A peer
+	// given a held channel instead closes it once it holds the request
+	// and answers nothing until the caller goes away.
+	serve := func(status int, hits *atomic.Int64, held chan struct{}) *httptest.Server {
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			hits.Add(1)
+			if held != nil {
+				// The server notices a departed client only once it has
+				// read the request body.
+				io.Copy(io.Discard, r.Body)
+				close(held)
+				<-r.Context().Done()
+				return
+			}
 			w.WriteHeader(status)
 			if status == http.StatusOK {
 				w.Write([]byte(`{"jobs":[]}`))
@@ -365,13 +378,17 @@ func TestPeerCallBookkeeping(t *testing.T) {
 	cases := []struct {
 		name   string
 		status int
-	}{{"200", http.StatusOK}, {"404", http.StatusNotFound}, {"503", http.StatusServiceUnavailable}, {"dead", http.StatusOK}, {"open", http.StatusOK}, {"cancelled", http.StatusOK}}
+	}{{"200", http.StatusOK}, {"404", http.StatusNotFound}, {"503", http.StatusServiceUnavailable}, {"dead", http.StatusOK}, {"open", http.StatusOK}, {"cancelled", http.StatusOK}, {"gave up", http.StatusOK}}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, cl := range calls {
 		for i, cs := range cases {
 			var hits atomic.Int64
-			srv := serve(cs.status, &hits)
+			var held chan struct{}
+			if cs.name == "gave up" {
+				held = make(chan struct{})
+			}
+			srv := serve(cs.status, &hits, held)
 			if cs.name == "dead" {
 				srv.Close()
 			}
@@ -390,8 +407,16 @@ func TestPeerCallBookkeeping(t *testing.T) {
 				br.Failure()
 			}
 			ctx := context.Background()
-			if cs.name == "cancelled" {
+			switch cs.name {
+			case "cancelled":
 				ctx = cancelled
+			case "gave up":
+				var giveUp context.CancelFunc
+				ctx, giveUp = context.WithCancel(ctx)
+				go func() {
+					<-held
+					giveUp()
+				}()
 			}
 			want := cl.want[i]
 			err = cl.call(ctx, c, srv.URL)
@@ -412,7 +437,7 @@ func TestPeerCallBookkeeping(t *testing.T) {
 				t.Errorf("%s: breaker failures = %d, want %d", label, got, wantFails)
 			}
 			wantHits := int64(1)
-			if want == "open" || want == "cancelled" || cs.name == "dead" {
+			if want == "open" || cs.name == "cancelled" || cs.name == "dead" {
 				wantHits = 0
 			}
 			if got := hits.Load(); got != wantHits {
@@ -420,4 +445,61 @@ func TestPeerCallBookkeeping(t *testing.T) {
 			}
 		}
 	}
+
+	// A half-open probe whose caller gives up mid-exchange hands its slot
+	// back: the next request is admitted, not refused for a full cooldown.
+	t.Run("half-open probe given up", func(t *testing.T) {
+		held := make(chan struct{})
+		srv := serve(http.StatusOK, new(atomic.Int64), held)
+		defer srv.Close()
+		clock := time.Now()
+		c, err := New(Options{
+			Self:             "http://self.invalid:1",
+			Peers:            []string{srv.URL},
+			Timeout:          time.Second,
+			BreakerThreshold: 1,
+			BreakerCooldown:  time.Hour,
+			now:              func() time.Time { return clock },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		br := c.peers[NormalizeAddr(srv.URL)].breaker
+		br.Failure()
+		clock = clock.Add(2 * time.Hour)
+		ctx, giveUp := context.WithCancel(context.Background())
+		go func() {
+			<-held
+			giveUp()
+		}()
+		if _, _, err := c.FetchFrom(ctx, srv.URL, key); err == nil {
+			t.Fatal("abandoned probe returned no error")
+		}
+		if reqs := c.Snapshot().Requests; len(reqs) != 1 || reqs[0].Outcome != "cancelled" {
+			t.Errorf("counters = %+v, want one results/cancelled", reqs)
+		}
+		if !br.Allow() {
+			t.Errorf("breaker %s with %d failures after an abandoned probe, want the next request admitted", br.State(), br.Failures())
+		}
+	})
+
+	// A peer that never answers a ping is a miss: the client timeout
+	// bounds the ping, and the detector books it as an error.
+	t.Run("ping of a hung peer", func(t *testing.T) {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			<-r.Context().Done()
+		}))
+		defer srv.Close()
+		c, err := New(Options{Self: "http://self.invalid:1", Peers: []string{srv.URL}, Timeout: 100 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.PingAll(3, nil)
+		if reqs := c.Snapshot().Requests; len(reqs) != 1 || reqs[0].Op != "ping" || reqs[0].Outcome != "error" {
+			t.Errorf("counters = %+v, want one ping/error", reqs)
+		}
+		if h := c.PeerHealth(srv.URL); h != HealthSuspect {
+			t.Errorf("hung peer health %q, want %q", h, HealthSuspect)
+		}
+	})
 }

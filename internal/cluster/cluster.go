@@ -277,9 +277,11 @@ func (c *Cluster) FetchResult(ctx context.Context, key string) ([]byte, string, 
 // sends the request, and reads at most maxResultBytes of the answer.
 // classify maps the answer to an outcome: "hit", "miss" or "ok" book a
 // Success on the breaker, "error" books a Failure, as do transport and
-// read errors. Either way one {op,outcome} count moves. call returns
-// the outcome ("open" when the breaker refused, "" when the peer is
-// unknown) and the error for every outcome but hit, miss and ok.
+// read errors — unless the caller's context is done by then, which
+// books "cancelled" and no verdict. Either way one {op,outcome} count
+// moves. call returns the outcome ("open" when the breaker refused, ""
+// when the peer is unknown) and the error for every outcome but hit,
+// miss and ok.
 func (c *Cluster) call(ctx context.Context, peerAddr, op, method, path string, body []byte,
 	classify func(status int, body []byte) (string, error)) (string, error) {
 	p, ok := c.peers[NormalizeAddr(peerAddr)]
@@ -320,9 +322,15 @@ func (c *Cluster) call(ctx context.Context, peerAddr, op, method, path string, b
 			}
 		}
 	}
-	if outcome == "error" {
+	switch {
+	case outcome == "error" && ctx.Err() != nil:
+		// The caller gave up mid-exchange: no verdict on the peer either,
+		// and a half-open probe slot goes back to the next request.
+		outcome = "cancelled"
+		p.breaker.Release()
+	case outcome == "error":
 		p.breaker.Failure()
-	} else {
+	default:
 		p.breaker.Success()
 	}
 	c.count(p.addr, op, outcome)

@@ -56,9 +56,11 @@ func (c *Cluster) Ping(ctx context.Context, peerAddr string, misses int) (became
 }
 
 // PingAll runs one failure-detector round: it pings every peer in
-// parallel, each bounded by the peer timeout, and returns once every
-// ping has finished — so a caller that runs rounds back to back never
-// overlaps them, and no callback fires after PingAll returns. onAlive,
+// parallel, each bounded by the client's peer timeout (a context
+// deadline would book a hung peer as cancelled, not as a miss), and
+// returns once every ping has finished — so a caller that runs rounds
+// back to back never overlaps them, and no callback fires after PingAll
+// returns. onAlive,
 // when non-nil, is called after every successful ping with the peer's
 // address and whether this ping was a transition to alive (the peer was
 // previously suspect, dead, or unknown). Hint delivery hooks here: a
@@ -70,9 +72,7 @@ func (c *Cluster) PingAll(misses int, onAlive func(addr string, becameAlive bool
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), c.client.Timeout)
-			defer cancel()
-			if became, err := c.Ping(ctx, addr, misses); err == nil && onAlive != nil {
+			if became, err := c.Ping(context.Background(), addr, misses); err == nil && onAlive != nil {
 				onAlive(addr, became)
 			}
 		}(addr)

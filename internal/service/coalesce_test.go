@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"coordattack/internal/mc"
 )
 
 // blockingEngine is a test double that parks every run until released,
@@ -22,7 +24,7 @@ type blockingEngine struct {
 	err     error
 }
 
-func (e *blockingEngine) run(ctx context.Context, spec JobSpec, p runParams) (json.RawMessage, error) {
+func (e *blockingEngine) run(ctx context.Context, spec JobSpec, workers int, progress func(mc.Snapshot)) (json.RawMessage, error) {
 	e.runs.Add(1)
 	select {
 	case <-e.release:
@@ -34,7 +36,7 @@ func (e *blockingEngine) run(ctx context.Context, spec JobSpec, p runParams) (js
 
 // installEngine swaps the mc engine before any job is submitted; the
 // queue channel orders the write before every worker read.
-func installEngine(s *Server, e engine) { s.engines[EngineMC] = e }
+func installEngine(s *Server, run RunFunc) { s.engines[EngineMC] = run }
 
 // TestCoalescingConcurrentIdenticalSubmissions is the throughput
 // acceptance check: 8 concurrent submissions of one canonical spec run
@@ -45,7 +47,7 @@ func TestCoalescingConcurrentIdenticalSubmissions(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer drain(t, s)
 	be := &blockingEngine{release: make(chan struct{}), body: json.RawMessage(`{"ok":true}`)}
-	installEngine(s, be)
+	installEngine(s, be.run)
 
 	spec := JobSpec{Protocol: "s:0.3", Trials: 2000, Seed: 9}
 	const burst = 8
@@ -125,7 +127,7 @@ func TestCoalescedFollowerMirrorsFailure(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer drain(t, s)
 	be := &blockingEngine{release: make(chan struct{}), err: context.DeadlineExceeded}
-	installEngine(s, be)
+	installEngine(s, be.run)
 
 	spec := JobSpec{Protocol: "s:0.4", Trials: 1000, Seed: 2}
 	leader, err := s.Submit(spec)
@@ -170,7 +172,7 @@ func TestCancelFollowerLeavesLeader(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer drain(t, s)
 	be := &blockingEngine{release: make(chan struct{}), body: json.RawMessage(`{"ok":true}`)}
-	installEngine(s, be)
+	installEngine(s, be.run)
 
 	spec := JobSpec{Protocol: "s:0.5", Trials: 1000, Seed: 6}
 	leader, err := s.Submit(spec)
@@ -223,13 +225,13 @@ func TestTrialWorkerBudgetDefaults(t *testing.T) {
 	}
 }
 
-// captureEngine records the runParams the scheduler hands it.
+// captureEngine records the trial-worker budget the scheduler hands it.
 type captureEngine struct {
 	workers chan int
 }
 
-func (e captureEngine) run(ctx context.Context, spec JobSpec, p runParams) (json.RawMessage, error) {
-	e.workers <- p.workers
+func (e captureEngine) run(ctx context.Context, spec JobSpec, workers int, progress func(mc.Snapshot)) (json.RawMessage, error) {
+	e.workers <- workers
 	return json.RawMessage(`{}`), nil
 }
 
@@ -240,7 +242,7 @@ func TestTrialWorkerBudgetReachesEngine(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer drain(t, s)
 	ce := captureEngine{workers: make(chan int, 1)}
-	installEngine(s, ce)
+	installEngine(s, ce.run)
 	if _, err := s.Submit(JobSpec{Protocol: "s:0.3", Trials: 500}); err != nil {
 		t.Fatal(err)
 	}

@@ -20,47 +20,42 @@ import (
 	"coordattack/internal/stats"
 )
 
-// An engine turns one canonical JobSpec into a JSON result body. A
-// cancelled or deadline-expired mc job returns its partial body
+// RunFunc is one engine execution: it turns one canonical JobSpec into
+// a JSON result body. workers is the trial-parallelism budget the
+// scheduler grants the run (so a loaded pool does not oversubscribe the
+// CPU — budgets never change the numbers, only the speed), and progress
+// observes trial counts, which feed the watchdog's liveness clock. A
+// cancelled or deadline-expired mc run returns its partial body
 // *together with* the context error; the scheduler keeps the body and
 // marks the job cancelled. Bodies are built deterministically from the
 // spec, which is what makes cache hits bit-identical to recomputation.
-type engine interface {
-	run(ctx context.Context, spec JobSpec, p runParams) (json.RawMessage, error)
-}
-
-// runParams is what the scheduler, not the spec, decides about one
-// engine execution: the trial-parallelism budget (so a loaded pool
-// does not oversubscribe the CPU — budgets never change the numbers,
-// only the speed) and the progress observer.
-type runParams struct {
-	workers  int
-	progress func(mc.Snapshot)
-}
-
-// RunFunc is one engine execution as a plain function: what
-// Config.WrapEngine intercepts. The workers and progress arguments
-// mirror runParams; wrappers must forward both for the scheduler's
-// trial budgeting and watchdog liveness tracking to keep working.
+// Config.WrapEngine wraps one; wrappers must forward workers and
+// progress.
 type RunFunc func(ctx context.Context, spec JobSpec, workers int, progress func(mc.Snapshot)) (json.RawMessage, error)
 
-// engineRunFunc adapts a registry engine to the RunFunc shape.
-func engineRunFunc(eng engine) RunFunc {
-	return func(ctx context.Context, spec JobSpec, workers int, progress func(mc.Snapshot)) (json.RawMessage, error) {
-		return eng.run(ctx, spec, runParams{workers: workers, progress: progress})
-	}
-}
-
-// engines is the registry the scheduler dispatches through, keyed by
+// engineRegistry is what the scheduler dispatches through, keyed by
 // JobSpec.Engine. The experiment engine carries a service-lifetime
 // level-table memo: repeated submissions (and the prefix ladders inside
 // one experiment) share causality work across jobs. The memo never
 // changes results — only how often the closure is recomputed — so
 // cache-hit bodies stay bit-identical to recomputation.
-func engineRegistry() map[string]engine {
-	return map[string]engine{
-		EngineMC:         mcEngine{},
-		EngineExperiment: expEngine{memo: causality.NewMemo()},
+func engineRegistry() map[string]RunFunc {
+	memo := causality.NewMemo()
+	return map[string]RunFunc{
+		EngineMC: runMC,
+		EngineExperiment: func(ctx context.Context, spec JobSpec, _ int, _ func(mc.Snapshot)) (json.RawMessage, error) {
+			e, err := experiments.ByID(spec.Experiment)
+			if err != nil {
+				return nil, err
+			}
+			res, err := e.Run(experiments.Options{
+				Trials: spec.Trials, Seed: spec.Seed, Quick: spec.Quick, Ctx: ctx, Memo: memo,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return res.JSON()
+		},
 	}
 }
 
@@ -88,7 +83,7 @@ const panicStackLimit = 2048
 // instead of killing the worker goroutine and, with it, the daemon's
 // capacity. The recovery sits outside any Config.WrapEngine wrapper,
 // so wrapper-injected panics are isolated exactly like engine ones.
-func runEngine(name string, fn RunFunc, ctx context.Context, spec JobSpec, p runParams) (body json.RawMessage, err error) {
+func runEngine(name string, fn RunFunc, ctx context.Context, spec JobSpec, workers int, progress func(mc.Snapshot)) (body json.RawMessage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			stack := debug.Stack()
@@ -99,7 +94,7 @@ func runEngine(name string, fn RunFunc, ctx context.Context, spec JobSpec, p run
 			err = &PanicError{Engine: name, Value: r, Stack: string(stack)}
 		}
 	}()
-	return fn(ctx, spec, p.workers, p.progress)
+	return fn(ctx, spec, workers, progress)
 }
 
 // buildMCInputs parses a canonical mc spec into everything mc.Estimate
@@ -205,16 +200,16 @@ type mcBody struct {
 	Error   string `json:"error,omitempty"`
 }
 
-type mcEngine struct{}
-
-func (mcEngine) run(ctx context.Context, spec JobSpec, p runParams) (json.RawMessage, error) {
+// runMC is the mc engine: mc.Estimate over the spec's inputs, with the
+// Wilson intervals and any partial-result error folded into the body.
+func runMC(ctx context.Context, spec JobSpec, workers int, progress func(mc.Snapshot)) (json.RawMessage, error) {
 	cfg, err := buildMCInputs(spec)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Ctx = ctx
-	cfg.Workers = p.workers
-	cfg.Progress = p.progress
+	cfg.Workers = workers
+	cfg.Progress = progress
 	res, estErr := mc.Estimate(cfg)
 	if res == nil {
 		return nil, estErr
@@ -235,22 +230,4 @@ func (mcEngine) run(ctx context.Context, spec JobSpec, p runParams) (json.RawMes
 		return nil, err
 	}
 	return data, estErr
-}
-
-type expEngine struct {
-	memo *causality.Memo
-}
-
-func (x expEngine) run(ctx context.Context, spec JobSpec, p runParams) (json.RawMessage, error) {
-	e, err := experiments.ByID(spec.Experiment)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.Run(experiments.Options{
-		Trials: spec.Trials, Seed: spec.Seed, Quick: spec.Quick, Ctx: ctx, Memo: x.memo,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.JSON()
 }

@@ -40,15 +40,15 @@ import (
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	mux.HandleFunc("GET /v1/jobs/{id}/watch", s.handleWatch)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
+	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, http.StatusOK, s.Jobs()) })
+	mux.HandleFunc("GET /v1/jobs/{id}", byID(s.Get))
+	mux.HandleFunc("GET /v1/jobs/{id}/watch", watch(s, s.job))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", byID(s.Cancel))
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
-	mux.HandleFunc("GET /v1/sweeps", s.handleListSweeps)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleGetSweep)
-	mux.HandleFunc("GET /v1/sweeps/{id}/watch", s.handleWatchSweep)
-	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleCancelSweep)
+	mux.HandleFunc("GET /v1/sweeps", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, http.StatusOK, s.Sweeps()) })
+	mux.HandleFunc("GET /v1/sweeps/{id}", byID(s.GetSweep))
+	mux.HandleFunc("GET /v1/sweeps/{id}/watch", watch(s, s.sweep))
+	mux.HandleFunc("DELETE /v1/sweeps/{id}", byID(s.CancelSweep))
 	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	mux.HandleFunc("GET /v1/peer/results/{key}", s.handlePeerGetResult)
 	mux.HandleFunc("PUT /v1/peer/results/{key}", s.handlePeerPutResult)
@@ -100,26 +100,29 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
+// decode reads a POST body into spec, rejecting unknown fields rather
+// than ignoring them: a typoed field name would otherwise silently
+// canonicalize to a different job. A body that does not decode answers
+// 400 naming the kind of spec, and decode reports false.
+func decode(w http.ResponseWriter, r *http.Request, kind string, spec any) bool {
 	dec := json.NewDecoder(r.Body)
-	// Unknown fields are rejected rather than ignored: a typoed field
-	// name would otherwise silently canonicalize to a different job.
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("decoding job spec: %v", err)})
-		return
+	if err := dec.Decode(spec); err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("decoding %s spec: %v", kind, err)})
+		return false
 	}
-	st, err := s.Submit(spec)
+	return true
+}
+
+// submitted answers a job or sweep submission: code with st when err is
+// nil, 429 with Retry-After for class on a full queue, 503 while
+// draining, and 400 for a spec that does not canonicalize.
+func (s *Server) submitted(w http.ResponseWriter, code int, st any, err error, class queue.Class) {
 	switch {
 	case err == nil:
-		code := http.StatusAccepted
-		if st.State == StateDone {
-			code = http.StatusOK
-		}
 		writeJSON(w, code, st)
 	case errors.Is(err, ErrQueueFull):
-		s.writeOverload(w, err, queue.ClassInteractive)
+		s.writeOverload(w, err, class)
 	case errors.Is(err, ErrDraining):
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
 	default:
@@ -127,116 +130,88 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Jobs())
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Get(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var spec JobSpec
+	if !decode(w, r, "job", &spec) {
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
-		return
+	st, err := s.Submit(spec)
+	code := http.StatusAccepted
+	if err == nil && st.State == StateDone {
+		code = http.StatusOK
 	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// handleWatch streams the job's status as NDJSON — one compact JSON
-// object per line, roughly 10 Hz while the job runs, ending with the
-// terminal status line. Clients get live trial-count and CI-width
-// progress without polling. A client that cannot keep up at 10 Hz gets
-// coalesced snapshots: intermediate states are skipped so every line it
-// does receive is the latest state at write time (see streamNDJSON).
-func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	j, err := s.job(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusNotImplemented, apiError{Error: "streaming unsupported"})
-		return
-	}
-	streamNDJSON(w, flusher, r.Context().Done(), j.done, &s.metrics.WatchCoalesced, func() (any, bool) {
-		st := j.status()
-		return st, st.State.Terminal()
-	})
+	s.submitted(w, code, st, err, queue.ClassInteractive)
 }
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var spec SweepSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("decoding sweep spec: %v", err)})
+	if !decode(w, r, "sweep", &spec) {
 		return
 	}
 	st, err := s.SubmitSweep(spec)
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusAccepted, st)
-	case errors.Is(err, ErrQueueFull):
-		s.writeOverload(w, err, queue.ClassSweep)
-	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+	s.submitted(w, http.StatusAccepted, st, err, queue.ClassSweep)
+}
+
+// notFound is the one reply for a job or sweep id that is unknown or
+// evicted.
+func notFound(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
+}
+
+// byID serves a GET or DELETE of one job or sweep: fn's status for the
+// path's id. Cancelling is idempotent: a settled job or sweep answers
+// its terminal status.
+func byID[S any](fn func(id string) (S, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		st, err := fn(r.PathValue("id"))
+		if err != nil {
+			notFound(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, st)
 	}
 }
 
-func (s *Server) handleListSweeps(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Sweeps())
+// watched is a job or a sweep as a /watch stream sees it: its entry,
+// whose done channel closes when it settles, and its current status
+// with whether that status is terminal.
+type watched interface {
+	registered
+	snapshot() (any, bool)
 }
 
-func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
-	st, err := s.GetSweep(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+func (j *Job) snapshot() (any, bool) {
+	st := j.status()
+	return st, st.State.Terminal()
 }
 
-// handleWatchSweep streams the sweep's aggregate status as NDJSON,
-// mirroring the per-job watch — one compact line per tick, ending with
-// the terminal aggregate (every cell settled) — with the same slow-
-// client coalescing: aggregate tables are the biggest lines the daemon
-// writes, so skipping stale ones matters most here.
-func (s *Server) handleWatchSweep(w http.ResponseWriter, r *http.Request) {
-	sw, err := s.sweep(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusNotImplemented, apiError{Error: "streaming unsupported"})
-		return
-	}
-	streamNDJSON(w, flusher, r.Context().Done(), sw.done, &s.metrics.WatchCoalesced, func() (any, bool) {
-		st := sw.status()
-		return st, st.State.Terminal()
-	})
+func (sw *Sweep) snapshot() (any, bool) {
+	st := sw.status()
+	return st, st.State.Terminal()
 }
 
-// handleCancelSweep cancels a sweep. Idempotent: cancelling a settled
-// sweep changes nothing and returns its (terminal) status.
-func (s *Server) handleCancelSweep(w http.ResponseWriter, r *http.Request) {
-	st, err := s.CancelSweep(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
-		return
+// watch serves GET .../{id}/watch for jobs and sweeps: the status as
+// NDJSON — one compact JSON object per line, roughly 10 Hz while it
+// runs, ending with the terminal line — so clients get live trial
+// counts, CI widths and sweep tables without polling. A client that
+// cannot keep up at 10 Hz gets coalesced snapshots: intermediate states
+// are skipped, so every line it does receive is the latest state at
+// write time (see streamNDJSON). Sweep tables are the biggest lines the
+// daemon writes, so skipping stale ones matters most there.
+func watch[T watched](s *Server, find func(id string) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v, err := find(r.PathValue("id"))
+		if err != nil {
+			notFound(w, err)
+			return
+		}
+		flusher, ok := w.(http.Flusher)
+		if !ok {
+			writeJSON(w, http.StatusNotImplemented, apiError{Error: "streaming unsupported"})
+			return
+		}
+		streamNDJSON(w, flusher, r.Context().Done(), v.base().done, &s.metrics.WatchCoalesced, v.snapshot)
 	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 // adminStore is the body of GET /v1/admin/store: the operator's view of

@@ -160,6 +160,95 @@ func TestHTTPValidationAndErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPSurfaceJobsAndSweeps pins the replies the job and sweep
+// routes share: an unknown id answers 404 with a JSON error on GET,
+// DELETE and /watch; a POST whose body is not JSON or carries an
+// unknown field answers 400 naming the spec it could not decode; a POST
+// while the server drains answers 503; and the list answers 200 with a
+// JSON array.
+func TestHTTPSurfaceJobsAndSweeps(t *testing.T) {
+	s, ts := testHTTPServer(t, Config{Workers: 1})
+	kinds := []struct {
+		name, path, unknown, valid string
+	}{
+		{"job", "/v1/jobs", "j999999", `{"protocol": "s:0.5", "rounds": 2, "trials": 200, "seed": 5}`},
+		{"sweep", "/v1/sweeps", "sw999999", `{"base": {"protocol": "s:0.5", "rounds": 2, "trials": 200}, "axes": {"seeds": [6, 7]}}`},
+	}
+	do := func(method, path, body string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, data
+	}
+	apiErr := func(label string, data []byte) string {
+		t.Helper()
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
+			t.Errorf("%s: body %q is not a JSON error", label, data)
+		}
+		return e.Error
+	}
+	list := func(k string, path string) {
+		t.Helper()
+		code, data := do(http.MethodGet, path, "")
+		var all []json.RawMessage
+		if code != http.StatusOK || json.Unmarshal(data, &all) != nil || all == nil {
+			t.Errorf("list %s: %d %q, want 200 with a JSON array", k, code, data)
+		}
+	}
+	for _, k := range kinds {
+		for _, r := range []struct{ method, suffix string }{
+			{http.MethodGet, ""}, {http.MethodDelete, ""}, {http.MethodGet, "/watch"},
+		} {
+			label := r.method + " " + k.path + "/" + k.unknown + r.suffix
+			code, data := do(r.method, k.path+"/"+k.unknown+r.suffix, "")
+			if code != http.StatusNotFound {
+				t.Errorf("%s: code %d, want 404", label, code)
+			}
+			apiErr(label, data)
+		}
+		for _, body := range []string{`{"nope": 1}`, `not json`} {
+			label := "POST " + k.path + " " + body
+			code, data := do(http.MethodPost, k.path, body)
+			if code != http.StatusBadRequest {
+				t.Errorf("%s: code %d, want 400", label, code)
+			}
+			if msg := apiErr(label, data); !strings.HasPrefix(msg, "decoding "+k.name+" spec") {
+				t.Errorf("%s: error %q, want it to start with %q", label, msg, "decoding "+k.name+" spec")
+			}
+		}
+		list(k.name, k.path)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for _, k := range kinds {
+		label := "POST " + k.path + " while draining"
+		code, data := do(http.MethodPost, k.path, k.valid)
+		if code != http.StatusServiceUnavailable {
+			t.Errorf("%s: code %d, want 503", label, code)
+		}
+		apiErr(label, data)
+		list(k.name, k.path)
+	}
+}
+
 func TestHTTPQueueFull429(t *testing.T) {
 	_, ts := testHTTPServer(t, Config{Workers: 1, QueueDepth: 1})
 	slow := func(seed int) string {

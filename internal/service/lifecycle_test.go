@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"coordattack/internal/cluster"
+	"coordattack/internal/mc"
 	"coordattack/internal/queue"
 )
 
@@ -178,7 +179,7 @@ func TestSettledSweepOutlivesEvictedCells(t *testing.T) {
 // with the context error, as mc does on a deadline.
 type partialEngine struct{}
 
-func (partialEngine) run(ctx context.Context, spec JobSpec, p runParams) (json.RawMessage, error) {
+func (partialEngine) run(ctx context.Context, spec JobSpec, workers int, progress func(mc.Snapshot)) (json.RawMessage, error) {
 	<-ctx.Done()
 	return json.RawMessage(`{"partial":true}`), ctx.Err()
 }
@@ -216,7 +217,7 @@ func TestSettleBookkeeping(t *testing.T) {
 	leaderRunning := func(t *testing.T, cfg Config, be *blockingEngine) (*Server, *Status) {
 		cfg.Workers = 1
 		s := boot(t, cfg)
-		installEngine(s, be)
+		installEngine(s, be.run)
 		leader := submit(t, s, 1)
 		waitUntil(t, "leader to start", func() bool { return be.runs.Load() > 0 })
 		return s, leader
@@ -247,14 +248,14 @@ func TestSettleBookkeeping(t *testing.T) {
 			s := boot(t, cfg)
 			be := &blockingEngine{release: make(chan struct{}), err: engineErr}
 			close(be.release)
-			installEngine(s, be)
+			installEngine(s, be.run)
 			st := submit(t, s, 1)
 			settles(t, s, st.ID, StateFailed)
 			return s, []string{st.Key}
 		}},
 		{"engine panic", counts{0, 1, 0}, func(t *testing.T, cfg Config) (*Server, []string) {
 			s := boot(t, cfg)
-			s.engines[EngineMC] = panicEngine{inner: mcEngine{}}
+			s.engines[EngineMC] = panicEngine{inner: runMC}.run
 			st := submit(t, s, panicSeed)
 			settles(t, s, st.ID, StateFailed)
 			return s, []string{st.Key}
@@ -262,7 +263,7 @@ func TestSettleBookkeeping(t *testing.T) {
 		{"deadline with partial body", counts{0, 0, 1}, func(t *testing.T, cfg Config) (*Server, []string) {
 			cfg.JobTimeout = 50 * time.Millisecond
 			s := boot(t, cfg)
-			s.engines[EngineMC] = partialEngine{}
+			s.engines[EngineMC] = partialEngine{}.run
 			st := submit(t, s, 1)
 			if fin := settles(t, s, st.ID, StateCancelled); len(fin.Result) == 0 {
 				t.Error("deadline-expired job lost its partial body")
@@ -310,29 +311,28 @@ func TestSettleBookkeeping(t *testing.T) {
 			return s, []string{leader.Key}
 		}},
 		{"watchdog kill", counts{0, 1, 0}, func(t *testing.T, cfg Config) (*Server, []string) {
-			block := make(chan struct{})
+			block, returned := make(chan struct{}), make(chan struct{})
+			stall := stallWrapper(1, block)
 			cfg.Workers = 1
 			cfg.JobTimeout = 50 * time.Millisecond
 			cfg.WatchdogInterval = 20 * time.Millisecond
 			cfg.WatchdogGrace = 50 * time.Millisecond
-			cfg.WrapEngine = stallWrapper(1, block)
+			cfg.WrapEngine = func(name string, next RunFunc) RunFunc {
+				run := stall(name, next)
+				return func(ctx context.Context, spec JobSpec, workers int, progress func(mc.Snapshot)) (json.RawMessage, error) {
+					defer close(returned)
+					return run(ctx, spec, workers, progress)
+				}
+			}
 			s := boot(t, cfg)
 			st := submit(t, s, 1)
-			j, err := s.job(st.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if fin := settles(t, s, st.ID, StateFailed); !strings.Contains(fin.Error, "watchdog") {
 				t.Errorf("killed job error %q does not name the watchdog", fin.Error)
 			}
-			// Let the wedged engine return: its worker's late settle
-			// attempt must count nothing.
+			// Let the wedged engine return: its late result must count
+			// nothing.
 			close(block)
-			waitUntil(t, "the wedged worker to let go of the job", func() bool {
-				j.mu.Lock()
-				defer j.mu.Unlock()
-				return j.token == nil
-			})
+			awaitClosed(t, returned)
 			return s, []string{st.Key}
 		}},
 		{"cache hit", counts{0, 0, 0}, func(t *testing.T, cfg Config) (*Server, []string) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"coordattack/internal/mc"
 	"coordattack/internal/store"
 )
 
@@ -131,16 +132,16 @@ func TestCorruptStoreEntryQuarantinedAndRecomputed(t *testing.T) {
 // panicEngine panics on a marked spec and delegates otherwise, so one
 // test server can run poisoned and healthy jobs side by side.
 type panicEngine struct {
-	inner engine
+	inner RunFunc
 }
 
 const panicSeed = 666
 
-func (p panicEngine) run(ctx context.Context, spec JobSpec, rp runParams) (json.RawMessage, error) {
+func (p panicEngine) run(ctx context.Context, spec JobSpec, workers int, progress func(mc.Snapshot)) (json.RawMessage, error) {
 	if spec.Seed == panicSeed {
 		panic("injected engine fault")
 	}
-	return p.inner.run(ctx, spec, rp)
+	return p.inner(ctx, spec, workers, progress)
 }
 
 // TestWorkerPanicFailsOnlyThatJob injects a panicking engine run and
@@ -150,7 +151,7 @@ func (p panicEngine) run(ctx context.Context, spec JobSpec, rp runParams) (json.
 func TestWorkerPanicFailsOnlyThatJob(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer drain(t, s)
-	s.engines[EngineMC] = panicEngine{inner: mcEngine{}}
+	s.engines[EngineMC] = panicEngine{inner: runMC}.run
 
 	bad, err := s.Submit(JobSpec{Protocol: "s:0.3", Trials: 500, Seed: panicSeed})
 	if err != nil {

@@ -197,15 +197,27 @@ var (
 	ErrNotFound  = fmt.Errorf("service: no such job")
 )
 
+// entry is what a job and a sweep share in the server's registries:
+// the id clients address it by, the sequence number behind the id —
+// drawn from the one counter both kinds share — and the channel closed
+// when it settles. Retention and the listings order entries by seq, not
+// by id, whose string order breaks once the counter passes 999999.
+type entry struct {
+	id   string
+	seq  int64
+	done chan struct{}
+}
+
+func (e *entry) base() *entry { return e }
+
+// registered is a job or a sweep: anything the registries hold.
+type registered interface{ base() *entry }
+
 // Job is one scheduled computation. Progress counters are atomics so
 // polling never contends with the worker; everything else is guarded by
 // mu.
 type Job struct {
-	id string
-	// seq is the number behind id, from the counter sweeps share; the
-	// registry orders jobs by it, not by id, whose string order breaks
-	// once the counter passes 999999.
-	seq  int64
+	entry
 	key  string
 	spec JobSpec // canonical
 	// class and flow are the scheduling envelope this job was admitted
@@ -216,7 +228,6 @@ type Job struct {
 
 	ctx      context.Context
 	cancel   context.CancelFunc
-	done     chan struct{}
 	deadline time.Time // ctx's deadline, cached for the watchdog
 
 	completed atomic.Int64
@@ -225,10 +236,6 @@ type Job struct {
 	// progress counters (or of the run start). The watchdog reads it to
 	// distinguish a slow-but-alive engine from a wedged one.
 	lastMove atomic.Int64
-	// slotFreed guards the running-gauge decrement: either the worker
-	// (engine returned) or the watchdog (job declared stuck) frees the
-	// slot, never both.
-	slotFreed atomic.Bool
 
 	mu        sync.Mutex
 	state     State
@@ -240,7 +247,6 @@ type Job struct {
 	stolenBy string
 	body     json.RawMessage
 	errMsg   string
-	token    *workerToken // the worker currently running this job
 
 	// item is this job's scheduler entry while pending, and journaled
 	// marks the job that owns its key's journal accept record (coalesced
@@ -321,7 +327,7 @@ type Server struct {
 	cluster *cluster.Cluster // nil = standalone daemon
 	hints   *hints.Log       // nil = standalone daemon (clustered servers always have one)
 	metrics *Metrics
-	engines map[string]engine
+	engines map[string]RunFunc
 
 	running atomic.Int64
 
@@ -361,25 +367,6 @@ type Server struct {
 	// new read-repairs are skipped, not queued — the anti-entropy loop
 	// remains the backstop.
 	rrSem chan struct{}
-}
-
-// workerToken is one worker goroutine's claim on a pool slot. The
-// watchdog abandons a token when its worker is wedged inside an engine
-// that ignores cancellation: the wg share is released (so Drain does
-// not wait on the wedged goroutine), a replacement worker is spawned,
-// and the wedged goroutine exits the pool loop if the engine ever
-// returns.
-type workerToken struct {
-	released  atomic.Bool
-	abandoned atomic.Bool
-}
-
-// release gives up the token's wg share exactly once, no matter whether
-// the worker itself or the watchdog triggers it.
-func (t *workerToken) release(wg *sync.WaitGroup) {
-	if t.released.CompareAndSwap(false, true) {
-		wg.Done()
-	}
 }
 
 // New starts a Server with cfg's worker pool already running. When a
@@ -600,13 +587,17 @@ func (s *Server) enqueue(j *Job, accepted time.Time) error {
 // for a queued cancel that lost the race to a worker — the worker will,
 // keeping the engine's partial result. The winner counts j in exactly
 // one of completed, failed and cancelled, and in each counter of also
-// (the peer hit or watchdog kill behind it), all before the new state
-// shows. It then withdraws j from the scheduler, tombstones the journal
-// record j owns while the key is still in the coalescing registry (so a
-// fresh accept of the key cannot be logged before this settle and then
-// erased by it), drops the key, releases j's context, and runs the
-// retention pass. A successful body is cached before settle, so once
-// the key leaves the registry a re-submission hits the cache.
+// (the peer hit or watchdog kill behind it), and a job leaving running
+// frees its slot in the running gauge, all before the new state shows.
+// Settling from running is also how a job's worker is freed: the worker
+// waits for the engine or for done, whichever comes first, so a
+// watchdog kill or a forced drain leaves a wedged engine behind. settle
+// then withdraws j from the scheduler, tombstones the journal record j
+// owns while the key is still in the coalescing registry (so a fresh
+// accept of the key cannot be logged before this settle and then erased
+// by it), drops the key, runs the retention pass, and releases j's
+// context. A successful body is cached before settle, so once the key
+// leaves the registry a re-submission hits the cache.
 func (s *Server) settle(j *Job, from, to State, body json.RawMessage, errMsg string, also ...*atomic.Int64) bool {
 	j.mu.Lock()
 	if j.state != from {
@@ -625,6 +616,9 @@ func (s *Server) settle(j *Job, from, to State, body json.RawMessage, errMsg str
 	for _, c := range also {
 		c.Add(1)
 	}
+	if from == StateRunning {
+		s.running.Add(-1)
+	}
 	close(j.done)
 	j.mu.Unlock()
 
@@ -640,9 +634,9 @@ func (s *Server) settle(j *Job, from, to State, body json.RawMessage, errMsg str
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
 	}
+	retain(s.jobs, s.cfg.JobRetention, &s.metrics.JobsEvicted)
 	s.mu.Unlock()
 	j.cancel()
-	s.gcJobs()
 	return true
 }
 
@@ -740,8 +734,8 @@ func (s *Server) serveCached(j *Job, body json.RawMessage) {
 	j.cancel()
 	s.mu.Lock()
 	s.jobs[j.id] = j
+	retain(s.jobs, s.cfg.JobRetention, &s.metrics.JobsEvicted)
 	s.mu.Unlock()
-	s.gcJobs()
 }
 
 // local is the one local result lookup: the memory LRU, then the
@@ -811,57 +805,80 @@ func (s *Server) newJob(canon JobSpec, key string, class queue.Class, flow strin
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	deadline, _ := ctx.Deadline()
 	s.mu.Lock()
-	s.nextID++
-	seq := s.nextID
+	e := s.newEntry("j")
 	s.mu.Unlock()
 	return &Job{
-		id: fmt.Sprintf("j%06d", seq), seq: seq, key: key, spec: canon,
+		entry: e, key: key, spec: canon,
 		class: class, flow: flow,
 		ctx: ctx, cancel: cancel, deadline: deadline,
-		done:  make(chan struct{}),
 		state: StateQueued,
 	}
 }
 
-// gcJobs evicts the oldest settled jobs past the retention limit,
-// mirroring gcSweeps: Server.jobs (the id → job map behind GET
-// /v1/jobs/{id}) must not grow without bound in a long-lived daemon.
-// Unsettled jobs never count against the limit and are never evicted.
-// Evicted job ids answer 404; their results stay memoized in the cache
-// and store under the spec key.
-func (s *Server) gcJobs() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.jobs) <= s.cfg.JobRetention {
+// newEntry draws the next id under prefix from the counter jobs and
+// sweeps share. Called under s.mu.
+func (s *Server) newEntry(prefix string) entry {
+	s.nextID++
+	return entry{id: fmt.Sprintf("%s%06d", prefix, s.nextID), seq: s.nextID, done: make(chan struct{})}
+}
+
+// retain evicts the oldest settled entries of m past limit, counting
+// each in evicted, so a long-lived daemon's registries stay bounded.
+// Unsettled entries never count against the limit and are never
+// evicted. Evicted ids answer 404; a job's result stays memoized in the
+// cache and store under its spec key. Each call scans m and sorts the
+// settled entries (ROADMAP item 1). Called under s.mu.
+func retain[T registered](m map[string]T, limit int, evicted *atomic.Int64) {
+	if len(m) <= limit {
 		return
 	}
-	settled := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
+	settled := make([]*entry, 0, len(m))
+	for _, v := range m {
 		select {
-		case <-j.done:
-			settled = append(settled, j)
+		case <-v.base().done:
+			settled = append(settled, v.base())
 		default:
 		}
 	}
-	if len(settled) <= s.cfg.JobRetention {
+	if len(settled) <= limit {
 		return
 	}
 	sort.Slice(settled, func(a, b int) bool { return settled[a].seq < settled[b].seq })
-	for _, j := range settled[:len(settled)-s.cfg.JobRetention] {
-		delete(s.jobs, j.id)
-		s.metrics.JobsEvicted.Add(1)
+	for _, e := range settled[:len(settled)-limit] {
+		delete(m, e.id)
+		evicted.Add(1)
 	}
 }
 
-func (s *Server) job(id string) (*Job, error) {
+// lookup finds id in m; an unknown or evicted id is ErrNotFound.
+func lookup[T registered](s *Server, m map[string]T, id string) (T, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	v, ok := m[id]
 	if !ok {
-		return nil, ErrNotFound
+		return v, ErrNotFound
 	}
-	return j, nil
+	return v, nil
 }
+
+// listed renders every entry of m, oldest first: the entries are copied
+// under s.mu and sorted by seq outside it.
+func listed[T registered, S any](s *Server, m map[string]T, status func(T) S) []S {
+	s.mu.Lock()
+	all := make([]T, 0, len(m))
+	for _, v := range m {
+		all = append(all, v)
+	}
+	s.mu.Unlock()
+	sort.Slice(all, func(a, b int) bool { return all[a].base().seq < all[b].base().seq })
+	out := make([]S, len(all))
+	for i, v := range all {
+		out[i] = status(v)
+	}
+	return out
+}
+
+func (s *Server) job(id string) (*Job, error) { return lookup(s, s.jobs, id) }
 
 // Get returns a job's current status.
 func (s *Server) Get(id string) (*Status, error) {
@@ -873,20 +890,7 @@ func (s *Server) Get(id string) (*Status, error) {
 }
 
 // Jobs lists every known job, oldest first.
-func (s *Server) Jobs() []*Status {
-	s.mu.Lock()
-	all := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		all = append(all, j)
-	}
-	s.mu.Unlock()
-	sort.Slice(all, func(a, b int) bool { return all[a].seq < all[b].seq })
-	out := make([]*Status, len(all))
-	for i, j := range all {
-		out[i] = j.status()
-	}
-	return out
-}
+func (s *Server) Jobs() []*Status { return listed(s, s.jobs, (*Job).status) }
 
 // Cancel cancels a job. A queued job is settled immediately; a running
 // one has its context cancelled and settles (possibly with a partial
@@ -909,19 +913,13 @@ func (s *Server) cancelJob(j *Job) {
 }
 
 func (s *Server) worker() {
-	t := &workerToken{}
-	defer t.release(&s.wg)
+	defer s.wg.Done()
 	for {
 		it, ok := s.sched.Next()
 		if !ok {
 			return
 		}
-		s.runJob(it.Payload.(*Job), t)
-		if t.abandoned.Load() {
-			// The watchdog replaced this worker while it was wedged in an
-			// engine; its pool slot belongs to the replacement now.
-			return
-		}
+		s.runJob(it.Payload.(*Job))
 	}
 }
 
@@ -941,16 +939,7 @@ func storeMax(a *atomic.Int64, v int64) bool {
 	}
 }
 
-// freeSlot decrements the running gauge for j exactly once: either the
-// worker (engine returned) or the watchdog (job declared stuck) gets
-// there first.
-func (s *Server) freeSlot(j *Job) {
-	if j.slotFreed.CompareAndSwap(false, true) {
-		s.running.Add(-1)
-	}
-}
-
-func (s *Server) runJob(j *Job, t *workerToken) {
+func (s *Server) runJob(j *Job) {
 	j.mu.Lock()
 	if j.state.Terminal() { // cancelled while queued; that settle did the bookkeeping
 		j.mu.Unlock()
@@ -979,62 +968,78 @@ func (s *Server) runJob(j *Job, t *workerToken) {
 		return
 	}
 	j.state = StateRunning
-	j.token = t
+	s.running.Add(1)
 	j.mu.Unlock()
 	j.lastMove.Store(time.Now().UnixNano())
 
-	s.running.Add(1)
 	s.metrics.EngineRuns.Add(1)
 	start := time.Now()
-	run := engineRunFunc(s.engines[j.spec.Engine])
+	run := s.engines[j.spec.Engine]
 	if s.cfg.WrapEngine != nil {
 		// The wrapper sits *inside* the panic isolation, so an injected
 		// chaos panic is recovered like any engine panic.
 		run = s.cfg.WrapEngine(j.spec.Engine, run)
 	}
-	body, err := runEngine(j.spec.Engine, run, j.ctx, j.spec, runParams{
-		workers: s.cfg.trialWorkers,
-		progress: func(snap mc.Snapshot) {
-			moved := storeMax(&j.completed, int64(snap.Completed))
-			if storeMax(&j.failed, int64(snap.Failed)) {
-				moved = true
+	progress := func(snap mc.Snapshot) {
+		moved := storeMax(&j.completed, int64(snap.Completed))
+		if storeMax(&j.failed, int64(snap.Failed)) {
+			moved = true
+		}
+		if moved {
+			j.lastMove.Store(time.Now().UnixNano())
+		}
+	}
+	// The engine runs on its own goroutine and hands its result over
+	// only while this worker still waits for it. The watchdog or a forced
+	// drain may settle the job from running first — the engine ignored
+	// its context — and then the worker moves on and leaves the engine
+	// behind. A success that returns after that is still cached, being
+	// valid deterministic work, but not timed, counted or replicated.
+	type result struct {
+		body json.RawMessage
+		err  error
+	}
+	ran := make(chan result)
+	go func() {
+		body, err := runEngine(j.spec.Engine, run, j.ctx, j.spec, s.cfg.trialWorkers, progress)
+		select {
+		case ran <- result{body, err}:
+		case <-j.done:
+			if err == nil {
+				s.keep(j.key, body)
 			}
-			if moved {
-				j.lastMove.Store(time.Now().UnixNano())
-			}
-		},
-	})
+		}
+	}()
+	var r result
+	select {
+	case r = <-ran:
+	case <-j.done:
+		return
+	}
 	s.metrics.ObserveJobSeconds(time.Since(start).Seconds(), j.class)
 	s.metrics.TrialsExecuted.Add(j.completed.Load())
-	s.freeSlot(j)
 
-	// The watchdog may have settled the job first; settle then declines
-	// and the metrics stay single-counted.
 	var pe *PanicError
 	switch {
-	case err == nil:
-		// Cache before settling even if the watchdog already failed this
-		// job: the body is valid deterministic work, and caching it first
-		// preserves the registry-outlives-body ordering for followers.
-		s.keep(j.key, body)
-		s.replicateResult(j.key, body)
-		s.settle(j, StateRunning, StateDone, body, "")
-	case errors.As(err, &pe):
+	case r.err == nil:
+		// Cache before settling: the registry-outlives-body ordering
+		// followers rely on.
+		s.keep(j.key, r.body)
+		s.replicateResult(j.key, r.body)
+		s.settle(j, StateRunning, StateDone, r.body, "")
+	case errors.As(r.err, &pe):
 		// A recovered engine panic fails this one job; the worker — and
 		// the daemon — keep serving. Checked before the context, so a
 		// panic racing a deadline still reports as the failure it is.
 		s.metrics.EnginePanics.Add(1)
-		s.settle(j, StateRunning, StateFailed, nil, err.Error())
+		s.settle(j, StateRunning, StateFailed, nil, r.err.Error())
 	case j.ctx.Err() != nil:
 		// Cancelled or deadline-expired: keep the partial body so the
 		// client still gets every completed trial.
-		s.settle(j, StateRunning, StateCancelled, body, err.Error())
+		s.settle(j, StateRunning, StateCancelled, r.body, r.err.Error())
 	default:
-		s.settle(j, StateRunning, StateFailed, body, err.Error())
+		s.settle(j, StateRunning, StateFailed, r.body, r.err.Error())
 	}
-	j.mu.Lock()
-	j.token = nil
-	j.mu.Unlock()
 }
 
 // gauges snapshots the point-in-time values for /metrics and /healthz.
@@ -1100,8 +1105,12 @@ func (s *Server) retryAfter(class queue.Class) (secs, depth, capacity int) {
 
 // Drain stops accepting jobs, lets queued and running work finish, and
 // returns when the pool is idle. If ctx expires first every in-flight
-// job is cancelled (settling with partial results) and Drain still
-// waits for the workers to exit before returning ctx's error.
+// job is cancelled (settling with partial results), and every
+// WatchdogGrace after that any job still running — its engine ignores
+// cancellation — is settled cancelled with an error naming the drain,
+// which frees its worker and leaves the engine behind. Drain returns
+// ctx's error once the workers have exited: one grace past ctx's
+// deadline, unless a worker's next queued job wedges too.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -1110,11 +1119,10 @@ func (s *Server) Drain(ctx context.Context) error {
 		close(s.stop)
 	}
 	s.mu.Unlock()
-	// Stop every background loop before waiting on the pool: a watchdog
-	// kill racing the drain would otherwise spawn a replacement worker
-	// while wg.Wait is in flight, a steal round would adopt new work,
-	// and a detector round could fire OnAlive and start a hint delivery
-	// (the deliveries already spawned hold wg shares and drain normally).
+	// Stop every background loop before waiting on the pool: a steal
+	// round would adopt new work, and a detector round could fire
+	// OnAlive and start a hint delivery (the deliveries already spawned
+	// hold wg shares and drain normally).
 	s.loops.Wait()
 
 	idle := make(chan struct{})
@@ -1126,12 +1134,25 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-idle:
 		return nil
 	case <-ctx.Done():
-		s.mu.Lock()
-		for _, j := range s.jobs {
-			j.cancel()
+	}
+	s.mu.Lock()
+	jobs := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		j.cancel()
+		jobs = append(jobs, j)
+	}
+	s.mu.Unlock()
+	msg := fmt.Sprintf("service: drain deadline passed and the engine ignored cancellation for %s; abandoned", s.cfg.WatchdogGrace)
+	tick := time.NewTicker(s.cfg.WatchdogGrace)
+	defer tick.Stop()
+	for {
+		select {
+		case <-idle:
+			return ctx.Err()
+		case <-tick.C:
+			for _, j := range jobs {
+				s.settle(j, StateRunning, StateCancelled, nil, msg)
+			}
 		}
-		s.mu.Unlock()
-		<-idle
-		return ctx.Err()
 	}
 }

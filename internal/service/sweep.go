@@ -203,14 +203,12 @@ func (ss SweepSpec) expand() ([]*sweepCell, string, error) {
 	return out, hex.EncodeToString(sum[:]), nil
 }
 
-// Sweep is one submitted sweep: its cells, dispatched as ordinary jobs,
-// and a done channel closed when every cell has settled.
+// Sweep is one submitted sweep: its cells, dispatched as ordinary jobs;
+// its entry's done channel closes when every cell has settled.
 type Sweep struct {
-	id    string
-	seq   int64 // the number behind id; the registry orders sweeps by it
+	entry
 	key   string
 	cells []*sweepCell
-	done  chan struct{}
 	// cancelled stops the dispatcher from submitting further cells;
 	// set by CancelSweep.
 	cancelled atomic.Bool
@@ -271,7 +269,7 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*SweepStatus, error) {
 	s.metrics.SweepsSubmitted.Add(1)
 	s.metrics.SweepCells.Add(int64(len(cells)))
 
-	sw := &Sweep{key: key, cells: cells, done: make(chan struct{})}
+	sw := &Sweep{key: key, cells: cells}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -286,9 +284,7 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*SweepStatus, error) {
 		s.metrics.SweepsRejected.Add(1)
 		return nil, ErrQueueFull
 	}
-	s.nextID++
-	sw.seq = s.nextID
-	sw.id = fmt.Sprintf("sw%06d", sw.seq)
+	sw.entry = s.newEntry("sw")
 	s.sweeps[sw.id] = sw
 	// Registering the dispatcher under the lock orders this Add before
 	// Drain's Wait: a sweep accepted before draining is always waited
@@ -305,10 +301,14 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*SweepStatus, error) {
 // to settle and freezes the sweep's table.
 func (s *Server) dispatchSweep(sw *Sweep) {
 	defer s.wg.Done()
-	// LIFO: the sweep settles (done closes), then the GC pass runs, so a
-	// just-settled sweep immediately counts toward the retention limit.
-	defer s.gcSweeps()
-	defer close(sw.done)
+	defer func() {
+		// The sweep settles, then the retention pass runs, so a
+		// just-settled sweep immediately counts toward the limit.
+		close(sw.done)
+		s.mu.Lock()
+		retain(s.sweeps, s.cfg.SweepRetention, &s.metrics.SweepsEvicted)
+		s.mu.Unlock()
+	}()
 	abort := "" // once set, every cell not yet submitted settles with it
 	for _, c := range sw.cells {
 		var j *Job
@@ -444,42 +444,7 @@ func fillRowFromBody(row *SweepRow, body json.RawMessage) {
 	}
 }
 
-// gcSweeps evicts the oldest settled sweeps past the retention limit,
-// so Server.sweeps stays bounded in a long-lived daemon. Unsettled
-// sweeps never count against the limit and are never evicted — only
-// knowledge that has fully settled (and whose cells are memoized in the
-// result cache anyway) is forgotten. Evicted sweep ids answer 404.
-func (s *Server) gcSweeps() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	settled := make([]*Sweep, 0, len(s.sweeps))
-	for _, sw := range s.sweeps {
-		select {
-		case <-sw.done:
-			settled = append(settled, sw)
-		default:
-		}
-	}
-	if len(settled) <= s.cfg.SweepRetention {
-		return
-	}
-	sort.Slice(settled, func(a, b int) bool { return settled[a].seq < settled[b].seq })
-	for _, sw := range settled[:len(settled)-s.cfg.SweepRetention] {
-		delete(s.sweeps, sw.id)
-		s.metrics.SweepsEvicted.Add(1)
-	}
-}
-
-// sweep looks a sweep up by id.
-func (s *Server) sweep(id string) (*Sweep, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return sw, nil
-}
+func (s *Server) sweep(id string) (*Sweep, error) { return lookup(s, s.sweeps, id) }
 
 // CancelSweep cancels a whole sweep: the dispatcher stops submitting
 // further cells, and the cancellation fans out to every cell already
@@ -518,17 +483,4 @@ func (s *Server) GetSweep(id string) (*SweepStatus, error) {
 }
 
 // Sweeps lists every known sweep, oldest first.
-func (s *Server) Sweeps() []*SweepStatus {
-	s.mu.Lock()
-	all := make([]*Sweep, 0, len(s.sweeps))
-	for _, sw := range s.sweeps {
-		all = append(all, sw)
-	}
-	s.mu.Unlock()
-	sort.Slice(all, func(a, b int) bool { return all[a].seq < all[b].seq })
-	out := make([]*SweepStatus, len(all))
-	for i, sw := range all {
-		out[i] = sw.status()
-	}
-	return out
-}
+func (s *Server) Sweeps() []*SweepStatus { return listed(s, s.sweeps, (*Sweep).status) }

@@ -29,22 +29,26 @@ func (e *WatchdogError) Error() string {
 }
 
 // scanStuck is one round of the stuck-job watchdog, which New runs
-// every Config.WatchdogInterval: it collects the currently stuck jobs
-// and kills each one. The stuck predicate is deliberately conservative
-// — both clauses must hold for the full grace period:
+// every Config.WatchdogInterval: it kills every currently stuck job by
+// settling it failed with a WatchdogError from running, which frees its
+// worker (runJob waits for the engine or the settle) and leaves the
+// wedged engine behind. The stuck predicate is deliberately
+// conservative — both clauses must hold for the full grace period:
 //
-//   - the job is running on a worker and its deadline passed more than
-//     grace ago (the context fired and the engine still has not
-//     returned), and
+//   - the job is running and its deadline passed more than grace ago
+//     (the context fired and the engine still has not returned), and
 //   - the progress counters have not advanced for more than grace (the
 //     engine is not merely finishing a slow tail of trials).
+//
+// A job whose engine returns between the scan and the kill is settled
+// by its worker, and the kill's settle declines.
 func (s *Server) scanStuck(now time.Time) {
 	grace := s.cfg.WatchdogGrace
 	s.mu.Lock()
 	var stuck []*Job
 	for _, j := range s.jobs {
 		j.mu.Lock()
-		running := j.state == StateRunning && j.token != nil
+		running := j.state == StateRunning
 		j.mu.Unlock()
 		if !running || now.Before(j.deadline.Add(grace)) {
 			continue
@@ -56,46 +60,12 @@ func (s *Server) scanStuck(now time.Time) {
 	}
 	s.mu.Unlock()
 	for _, j := range stuck {
-		s.killStuck(j, now)
-	}
-}
-
-// killStuck settles a stuck job as failed with a WatchdogError, frees
-// its worker slot, and restores pool capacity by abandoning the wedged
-// worker goroutine and spawning a replacement. The wedged goroutine is
-// left blocked in its engine: if the engine ever returns, the goroutine
-// notices its abandoned token and exits instead of rejoining the pool.
-func (s *Server) killStuck(j *Job, now time.Time) {
-	j.mu.Lock()
-	t := j.token
-	j.mu.Unlock()
-	werr := &WatchdogError{
-		JobID:    j.id,
-		Deadline: j.deadline,
-		IdleFor:  now.Sub(time.Unix(0, j.lastMove.Load())),
-		Grace:    s.cfg.WatchdogGrace,
-	}
-	// Freeing the slot first is safe either way: the worker and the
-	// watchdog free it at most once between them.
-	s.freeSlot(j)
-	if !s.settle(j, StateRunning, StateFailed, nil, werr.Error(), &s.metrics.WatchdogKills) {
-		// The engine returned between the scan and here; the worker
-		// settled the job itself and nothing is stuck anymore.
-		return
-	}
-	if t != nil {
-		t.abandoned.Store(true)
-		s.mu.Lock()
-		if !s.draining {
-			// Replace the wedged worker so the pool keeps its capacity.
-			// In the rare race where the engine returned just after the
-			// scan, the "wedged" worker sees the abandoned flag too late
-			// and keeps looping shareless until drain — a brief +1 of
-			// capacity, never a loss.
-			s.wg.Add(1)
-			go s.worker()
+		werr := &WatchdogError{
+			JobID:    j.id,
+			Deadline: j.deadline,
+			IdleFor:  now.Sub(time.Unix(0, j.lastMove.Load())),
+			Grace:    grace,
 		}
-		s.mu.Unlock()
-		t.release(&s.wg)
+		s.settle(j, StateRunning, StateFailed, nil, werr.Error(), &s.metrics.WatchdogKills)
 	}
 }

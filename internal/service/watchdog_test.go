@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -122,16 +123,11 @@ func TestJobsGCEvictsOldestSettledOnly(t *testing.T) {
 	}
 
 	// Four settled jobs against a retention of 2: the two oldest are
-	// evicted (the GC runs in the worker after settle, so poll briefly).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := s.Get(ids[0]); err == ErrNotFound {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("oldest settled job never evicted")
-		}
-		time.Sleep(2 * time.Millisecond)
+	// evicted. The second eviction runs in the fourth job's settle, after
+	// its state already reads done, so wait for the eviction itself.
+	waitUntil(t, "two jobs evicted", func() bool { return s.Metrics().JobsEvicted.Load() >= 2 })
+	if _, err := s.Get(ids[0]); err != ErrNotFound {
+		t.Errorf("oldest settled job still queryable, want evicted")
 	}
 	if _, err := s.Get(ids[1]); err != ErrNotFound {
 		t.Errorf("second-oldest settled job still queryable, want evicted")
@@ -144,5 +140,43 @@ func TestJobsGCEvictsOldestSettledOnly(t *testing.T) {
 	}
 	if got := s.Metrics().JobsEvicted.Load(); got < 2 {
 		t.Errorf("jobs evicted metric = %d, want >= 2", got)
+	}
+}
+
+// TestDrainDeadlineBoundsWedgedEngine: an engine that ignores its
+// context cannot hold Drain much past its deadline. One watchdog grace
+// after the deadline's cancel, the still-running job is settled
+// cancelled with an error naming the drain, its worker moves on, and
+// Drain returns the deadline error.
+func TestDrainDeadlineBoundsWedgedEngine(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	s := New(Config{Workers: 1, WatchdogGrace: 100 * time.Millisecond, WrapEngine: stallWrapper(666, block)})
+	st, err := s.Submit(JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 300, Seed: 666})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the wedged job to run", func() bool {
+		g, err := s.Get(st.ID)
+		return err == nil && g.State == StateRunning
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	select {
+	case err := <-drained:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("drain: %v, want %v", err, context.DeadlineExceeded)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Drain still blocked 2 s after its 200 ms deadline")
+	}
+	fin, err := s.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != StateCancelled || !strings.Contains(fin.Error, "drain") {
+		t.Errorf("wedged job settled %s (%q), want cancelled naming the drain", fin.State, fin.Error)
 	}
 }
