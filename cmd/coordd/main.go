@@ -50,7 +50,7 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) int {
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8344", "listen address")
 		workers      = fs.Int("workers", 2, "concurrent jobs")
-		queueDepth   = fs.Int("queue", 64, "submission queue depth (full queue answers 429)")
+		queueDepth   = fs.Int("queue", 64, "pending jobs per scheduling class; a full class answers 429, as does a sweep while this many jobs are pending in all")
 		cacheSize    = fs.Int("cache", 1024, "result cache entries")
 		jobTimeout   = fs.Duration("job-timeout", 5*time.Minute, "per-job deadline")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "shutdown grace period before in-flight jobs are cancelled")

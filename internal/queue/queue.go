@@ -17,6 +17,7 @@ package queue
 import (
 	"container/heap"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 )
@@ -31,7 +32,7 @@ const (
 	ClassSweep Class = "sweep"
 )
 
-// ErrFull is returned by Push when the scheduler is at MaxDepth.
+// ErrFull is returned by Push when the item's class is at MaxDepth.
 var ErrFull = fmt.Errorf("queue: scheduler full")
 
 // Item is one pending unit of work. Key/Flow/Class/Priority/Deadline
@@ -52,9 +53,10 @@ type Item struct {
 
 // SchedOptions tunes NewSched.
 type SchedOptions struct {
-	// MaxDepth bounds the total pending items; Push past it returns
-	// ErrFull. 0 means 64. PushReplay ignores the bound — journal
-	// re-admission must never drop accepted work.
+	// MaxDepth bounds the pending items of each class; Push past it
+	// returns ErrFull, so one class filling up never refuses the other.
+	// 0 means 64. PushReplay ignores the bound — accepted work coming
+	// back must never be dropped.
 	MaxDepth int
 	// Weight maps a class to its pops per round-robin turn; nil or a
 	// return < 1 means 1. Raising the interactive weight lets latency-
@@ -78,6 +80,9 @@ type Sched struct {
 	depth  int
 	seq    uint64
 	closed bool
+
+	// byClass counts the pending items of each class; it sums to depth.
+	byClass map[Class]int
 }
 
 // flow is one fairness unit: a heap of pending items.
@@ -96,29 +101,31 @@ func NewSched(opts SchedOptions) *Sched {
 		maxDepth: opts.MaxDepth,
 		weight:   opts.Weight,
 		flows:    make(map[string]*flow),
+		byClass:  make(map[Class]int, 2),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// Push admits it, or returns ErrFull at MaxDepth. Closed schedulers
-// refuse everything (the caller's drain check fires first in practice).
+// Push admits it, or returns ErrFull when its class already holds
+// MaxDepth items. Closed schedulers refuse everything (the caller's
+// drain check fires first in practice).
 func (s *Sched) Push(it *Item) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("queue: scheduler closed")
 	}
-	if s.depth >= s.maxDepth {
+	if s.byClass[it.Class] >= s.maxDepth {
 		return ErrFull
 	}
 	s.pushLocked(it)
 	return nil
 }
 
-// PushReplay admits it regardless of MaxDepth: journal re-admission on
-// restart must never drop accepted work, even when the accepted backlog
-// exceeds the configured bound.
+// PushReplay admits it regardless of MaxDepth: accepted work — a
+// journal replay on restart, an adopted steal, a sweep's cells — must
+// never be dropped, even when the backlog exceeds the configured bound.
 func (s *Sched) PushReplay(it *Item) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -142,6 +149,7 @@ func (s *Sched) pushLocked(it *Item) {
 	}
 	heap.Push(&f.items, it)
 	s.depth++
+	s.byClass[it.Class]++
 	s.cond.Signal()
 }
 
@@ -175,6 +183,7 @@ func (s *Sched) popLocked() *Item {
 	}
 	it := heap.Pop(&f.items).(*Item)
 	s.depth--
+	s.byClass[it.Class]--
 	s.credit--
 	if f.items.Len() == 0 {
 		s.dropFlowLocked(s.cursor)
@@ -232,6 +241,7 @@ func (s *Sched) Remove(it *Item) bool {
 	}
 	heap.Remove(&f.items, it.index)
 	s.depth--
+	s.byClass[it.Class]--
 	if f.items.Len() == 0 {
 		for i, rf := range s.ring {
 			if rf == f {
@@ -294,13 +304,7 @@ func (s *Sched) Flows() int {
 func (s *Sched) DepthByClass() map[Class]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[Class]int, 2)
-	for _, f := range s.flows {
-		for _, it := range f.items {
-			out[it.Class]++
-		}
-	}
-	return out
+	return maps.Clone(s.byClass)
 }
 
 // OldestAge reports how long the oldest pending item has waited, or 0

@@ -131,6 +131,48 @@ func TestDepthBoundAndReplayBypass(t *testing.T) {
 	}
 }
 
+// TestDepthBoundIsPerClass: a class at MaxDepth refuses only its own
+// pushes, and a pop or a remove frees exactly its own class's capacity.
+func TestDepthBoundIsPerClass(t *testing.T) {
+	s := NewSched(SchedOptions{MaxDepth: 2})
+	for _, it := range []*Item{
+		item("interactive", ClassInteractive, "i1"),
+		item("interactive", ClassInteractive, "i2"),
+		item("sw", ClassSweep, "s1"),
+		item("sw", ClassSweep, "s2"),
+	} {
+		if err := s.Push(it); err != nil {
+			t.Fatalf("push %s: %v", it.Key, err)
+		}
+	}
+	if err := s.Push(item("interactive", ClassInteractive, "i3")); err != ErrFull {
+		t.Fatalf("third interactive push err = %v, want ErrFull", err)
+	}
+	s3 := item("sw", ClassSweep, "s3")
+	if err := s.Push(s3); err != ErrFull {
+		t.Fatalf("third sweep push err = %v, want ErrFull", err)
+	}
+	s.PushReplay(s3)
+	if d := s.DepthByClass(); d[ClassInteractive] != 2 || d[ClassSweep] != 3 || s.Depth() != 5 {
+		t.Fatalf("depth by class = %v, total %d, want 2/3/5", d, s.Depth())
+	}
+	if !s.Remove(s3) {
+		t.Fatal("Remove(s3) = false while pending")
+	}
+	if it, _ := s.Next(); it.Key != "i1" {
+		t.Fatalf("first pop %s, want i1 (the interactive flow is first in the ring)", it.Key)
+	}
+	if err := s.Push(item("interactive", ClassInteractive, "i3")); err != nil {
+		t.Fatalf("interactive push after an interactive pop: %v", err)
+	}
+	if err := s.Push(item("sw", ClassSweep, "s4")); err != ErrFull {
+		t.Fatalf("sweep push after an interactive pop err = %v, want ErrFull", err)
+	}
+	if d := s.DepthByClass(); d[ClassInteractive] != 2 || d[ClassSweep] != 2 {
+		t.Fatalf("depth by class = %v, want 2/2", d)
+	}
+}
+
 // TestRemoveWithdrawsPending: a removed item neither reaches Next nor
 // counts against depth; removing twice (or after pop) reports false.
 func TestRemoveWithdrawsPending(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"coordattack/internal/mc"
+	"coordattack/internal/store"
 )
 
 // blockingEngine is a test double that parks every run until released,
@@ -253,5 +254,100 @@ func TestTrialWorkerBudgetReachesEngine(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("engine never ran")
+	}
+}
+
+// TestDrainRefusesCoalescing: a draining server refuses a submission
+// whose key is already in flight, as it refuses a fresh key, instead of
+// attaching a follower that Drain would have to wait out.
+func TestDrainRefusesCoalescing(t *testing.T) {
+	s := New(Config{Workers: 1, WatchdogInterval: -1})
+	be := &blockingEngine{release: make(chan struct{}), body: json.RawMessage(`{"ok":true}`)}
+	installEngine(s, be.run)
+
+	spec := JobSpec{Protocol: "s:0.3", Trials: 2000, Seed: 9}
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the job to hold the worker", func() bool { return s.running.Load() == 1 })
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		drained <- s.Drain(ctx)
+	}()
+	waitUntil(t, "the drain to start", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.draining
+	})
+
+	coalesced := s.Metrics().JobsCoalesced.Load()
+	if _, err := s.Submit(spec); err != ErrDraining {
+		t.Errorf("running key while draining: err = %v, want ErrDraining", err)
+	}
+	if got := s.Metrics().JobsCoalesced.Load(); got != coalesced {
+		t.Errorf("jobs_coalesced moved %d → %d while draining", coalesced, got)
+	}
+	if _, err := s.Submit(JobSpec{Protocol: "s:0.3", Trials: 2000, Seed: 10}); err != ErrDraining {
+		t.Errorf("fresh key while draining: err = %v, want ErrDraining", err)
+	}
+	close(be.release)
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if fin, err := s.Get(st.ID); err != nil || fin.State != StateDone {
+		t.Fatalf("running job after drain: %+v, %v", fin, err)
+	}
+}
+
+// TestDrainServesResultSettledMidSubmit: a result that lands between
+// submit's unlocked lookup and its locked re-check is answered as a
+// cache hit, also when the server began draining in between: it is a
+// finished result, not new work.
+func TestDrainServesResultSettledMidSubmit(t *testing.T) {
+	fs := &gatedFS{FS: store.DiskFS(), entered: make(chan struct{}), release: make(chan struct{})}
+	st, err := store.Open(t.TempDir(), store.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, Store: st, WatchdogInterval: -1})
+	spec := JobSpec{Protocol: "s:0.3", Trials: 2000, Seed: 9}
+	canon, err := spec.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type submitted struct {
+		st  *Status
+		err error
+	}
+	done := make(chan submitted, 1)
+	fs.armed.Store(true)
+	go func() {
+		st, err := s.Submit(spec)
+		done <- submitted{st, err}
+	}()
+	select {
+	case <-fs.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("submit never reached the store lookup")
+	}
+	drain(t, s)
+	// The leader's settle, after the store lookup missed: its body is
+	// cached and its key has left the coalescing registry.
+	s.cache.Put(canon.Key(), []byte(`{"ok":true}`))
+	close(fs.release)
+	select {
+	case sub := <-done:
+		if sub.err != nil {
+			t.Fatalf("submit of a settled key while draining: %v, want a cache hit", sub.err)
+		}
+		if !sub.st.Cached || sub.st.State != StateDone {
+			t.Fatalf("submit of a settled key while draining: %+v, want a done cache hit", sub.st)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("submit did not return after the store lookup was released")
 	}
 }

@@ -70,7 +70,8 @@ type apiError struct {
 
 // overloadError is the structured body of a 429: it tells the client
 // not just that it was shed but when to come back and how deep the
-// backlog is, mirroring the Retry-After header.
+// backlog is, mirroring the Retry-After header. QueueDepth counts every
+// pending job; QueueCapacity is the per-class bound, Config.QueueDepth.
 type overloadError struct {
 	Error         string `json:"error"`
 	RetryAfterSec int    `json:"retry_after_sec"`

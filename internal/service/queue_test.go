@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,7 +34,6 @@ func slowWrapper(d time.Duration) func(string, RunFunc) RunFunc {
 func TestFairShareInteractiveBeatsSweep(t *testing.T) {
 	s := New(Config{
 		Workers:    1,
-		QueueDepth: 2 * MaxSweepCells,
 		WrapEngine: slowWrapper(3 * time.Millisecond),
 	})
 	defer drain(t, s)
@@ -81,6 +81,128 @@ func TestFairShareInteractiveBeatsSweep(t *testing.T) {
 	}
 	if g.QueueOldestAgeSec <= 0 {
 		t.Errorf("queue oldest age = %g with a non-empty backlog", g.QueueOldestAgeSec)
+	}
+}
+
+// TestSweepLeavesInteractiveCapacity: at the default QueueDepth, a
+// MaxSweepCells sweep queued behind a held worker leaves the interactive
+// class its whole bound — QueueDepth submissions are admitted, and the
+// next one is refused, so the bound still holds per class.
+func TestSweepLeavesInteractiveCapacity(t *testing.T) {
+	block := make(chan struct{})
+	s := New(Config{Workers: 1, WatchdogInterval: -1, WrapEngine: stallWrapper(666, block)})
+	defer drain(t, s)
+	defer close(block)
+
+	if _, err := s.Submit(JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 200, Seed: 666}); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the gate job to hold the worker", func() bool { return s.running.Load() == 1 })
+	seeds := make([]uint64, MaxSweepCells)
+	for i := range seeds {
+		seeds[i] = uint64(1000 + i)
+	}
+	sw, err := s.SubmitSweep(SweepSpec{
+		Base: JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 200},
+		Axes: SweepAxes{Seeds: seeds},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	depth := s.cfg.QueueDepth
+	waitUntil(t, "the sweep to fill the queue", func() bool { return s.sched.Depth() >= depth })
+	for i := 1; i <= depth; i++ {
+		if _, err := s.Submit(JobSpec{Protocol: "s:0.3", Rounds: 2, Trials: 200, Seed: uint64(i)}); err != nil {
+			t.Fatalf("interactive submission %d of %d during the sweep: %v", i, depth, err)
+		}
+	}
+	if _, err := s.Submit(JobSpec{Protocol: "s:0.3", Rounds: 2, Trials: 200, Seed: uint64(depth + 1)}); err != ErrQueueFull {
+		t.Fatalf("interactive submission %d: err = %v, want ErrQueueFull", depth+1, err)
+	}
+	// Only the gate job's runs are left for the drain to wait out.
+	if _, err := s.CancelSweep(sw.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentSweepsKeepTheBound: sweeps submitted at once are
+// admitted one at a time, so with the worker held only the first passes
+// the depth check, and the sweep class stays below QueueDepth +
+// MaxSweepCells however many sweeps race.
+func TestConcurrentSweepsKeepTheBound(t *testing.T) {
+	block := make(chan struct{})
+	s := New(Config{Workers: 1, QueueDepth: 4, WatchdogInterval: -1, WrapEngine: stallWrapper(666, block)})
+	defer drain(t, s)
+	defer close(block)
+
+	if _, err := s.Submit(JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 200, Seed: 666}); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the gate job to hold the worker", func() bool { return s.running.Load() == 1 })
+	const sweeps, cells = 8, 16
+	var admitted, refused atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < sweeps; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			seeds := make([]uint64, cells)
+			for k := range seeds {
+				seeds[k] = uint64(i*cells + k + 1)
+			}
+			_, err := s.SubmitSweep(SweepSpec{
+				Base: JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 200},
+				Axes: SweepAxes{Seeds: seeds},
+			})
+			switch err {
+			case nil:
+				admitted.Add(1)
+			case ErrQueueFull:
+				refused.Add(1)
+			default:
+				t.Errorf("sweep %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if admitted.Load() != 1 || refused.Load() != sweeps-1 {
+		t.Fatalf("%d sweeps admitted and %d refused, want 1 and %d", admitted.Load(), refused.Load(), sweeps-1)
+	}
+	if d := s.sched.DepthByClass()[queue.ClassSweep]; d != cells {
+		t.Fatalf("sweep class holds %d jobs, want the one admitted sweep's %d", d, cells)
+	}
+}
+
+// TestSweepCellClockStartsAtRun: a sweep admitted whole may queue many
+// more cells than QueueDepth, so a cell's JobTimeout counts from when a
+// worker takes it, not from admission. Here the 32 cells of 20 ms each
+// outlast the 200 ms timeout on one worker, and every cell still ends
+// done.
+func TestSweepCellClockStartsAtRun(t *testing.T) {
+	s := New(Config{
+		Workers:    1,
+		QueueDepth: 4,
+		JobTimeout: 200 * time.Millisecond,
+		WrapEngine: slowWrapper(20 * time.Millisecond),
+	})
+	defer drain(t, s)
+
+	seeds := make([]uint64, 32)
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	sw, err := s.SubmitSweep(SweepSpec{
+		Base: JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 200},
+		Axes: SweepAxes{Seeds: seeds},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitSweep(t, s, sw.ID, 30*time.Second)
+	for i, row := range fin.Table {
+		if row.State != StateDone {
+			t.Errorf("row %d (%v) ended %s: %s", i, row.Params, row.State, row.Error)
+		}
 	}
 }
 

@@ -147,7 +147,7 @@ func TestRetryAfterPerClass(t *testing.T) {
 		}
 	}
 	for seed := uint64(9003); seed <= 9005; seed++ {
-		if _, err := s.submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: seed}, queue.ClassSweep, "sweep:test"); err != nil {
+		if _, err := s.submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: seed}, queue.ClassSweep, "sweep:test", time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,9 +24,12 @@ import (
 type Config struct {
 	// Workers is the number of concurrent jobs; 0 means 2.
 	Workers int
-	// QueueDepth bounds the pending submission queue; a full queue
-	// rejects with ErrQueueFull (HTTP 429). 0 means 64. Journal replay
-	// on restart may exceed it — accepted work is never dropped.
+	// QueueDepth bounds the pending jobs of each scheduling class: an
+	// interactive submission past it, or a sweep submitted while the
+	// scheduler holds that many jobs in all, is rejected with
+	// ErrQueueFull (HTTP 429). 0 means 64. An admitted sweep's cells, a
+	// journal replay and an adopted steal may exceed it — accepted work
+	// is never dropped.
 	QueueDepth int
 	// InteractiveWeight is how many interactive jobs the scheduler pops
 	// per sweep-flow pop; 0 means 1 (equal shares). Raising it biases
@@ -40,7 +43,8 @@ type Config struct {
 	// CacheSize bounds the result cache entry count; 0 means 1024.
 	CacheSize int
 	// JobTimeout is the per-job deadline; 0 means 5 minutes. A spec's
-	// timeout_sec can lower it per job, never raise it.
+	// timeout_sec can lower it per job, never raise it. It counts from a
+	// job's submission, or for a sweep cell from when a worker takes it.
 	JobTimeout time.Duration
 	// Store, when non-nil, is the durable second result tier under the
 	// in-memory LRU: completed bodies are written through to it, and a
@@ -226,9 +230,16 @@ type Job struct {
 	class queue.Class
 	flow  string
 
+	// ctx carries the job's deadline, timeout after its submission. A
+	// sweep cell's ctx carries none: its timeout counts from when a
+	// worker takes it (runJob), since its sweep is admitted whole and the
+	// cell may wait behind far more than QueueDepth jobs. deadline
+	// caches the deadline for the scheduler and the watchdog; a cell's
+	// stays zero until it runs.
 	ctx      context.Context
 	cancel   context.CancelFunc
-	deadline time.Time // ctx's deadline, cached for the watchdog
+	timeout  time.Duration
+	deadline time.Time
 
 	completed atomic.Int64
 	failed    atomic.Int64
@@ -342,6 +353,9 @@ type Server struct {
 	sched    *queue.Sched
 	draining bool
 	nextID   int64
+
+	// admitMu serializes sweep admission (SubmitSweep).
+	admitMu sync.Mutex
 
 	wg sync.WaitGroup
 
@@ -464,7 +478,7 @@ func (s *Server) CacheStats() (hits, misses int64) { return s.cache.Stats() }
 // (possibly coalesced) otherwise. Backpressure and drain are reported
 // as ErrQueueFull and ErrDraining.
 func (s *Server) Submit(spec JobSpec) (*Status, error) {
-	j, err := s.submit(spec, queue.ClassInteractive, "interactive")
+	j, err := s.submit(spec, queue.ClassInteractive, "interactive", time.Time{})
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +489,9 @@ func (s *Server) Submit(spec JobSpec) (*Status, error) {
 // submissions share the "interactive" flow, sweep cells ride their
 // sweep's own flow (class "sweep"), so the fair scheduler round-robins
 // sweeps against singletons instead of draining whichever came first.
-func (s *Server) submit(spec JobSpec, class queue.Class, flow string) (*Job, error) {
+// accepted is enqueue's: zero for a fresh submission, bounded by
+// MaxDepth, or the admission time of the sweep a cell belongs to.
+func (s *Server) submit(spec JobSpec, class queue.Class, flow string, accepted time.Time) (*Job, error) {
 	canon, err := spec.Canonicalize()
 	if err != nil {
 		return nil, err
@@ -494,6 +510,13 @@ func (s *Server) submit(spec JobSpec, class queue.Class, flow string) (*Job, err
 
 	s.mu.Lock()
 	if leader, ok := s.inflight[key]; ok {
+		if s.draining {
+			// A follower would be new work that Drain waits out: refused
+			// like a fresh job, which enqueue refuses below.
+			s.mu.Unlock()
+			j.cancel()
+			return nil, ErrDraining
+		}
 		// An identical job is already queued or running: attach to it
 		// instead of computing twice. The wg.Add is safe here because a
 		// registered leader's worker cannot have exited yet — it drops
@@ -509,12 +532,13 @@ func (s *Server) submit(spec JobSpec, class queue.Class, flow string) (*Job, err
 	if body, ok := s.cache.Get(key); ok {
 		// The leader settled between the unlocked cache check and here.
 		// Its body was cached before the registry entry was dropped, so
-		// this second check under the lock cannot miss.
+		// this second check under the lock cannot miss, and it answers
+		// even while draining.
 		s.mu.Unlock()
 		s.serveCached(j, body)
 		return j, nil
 	}
-	err = s.enqueue(j, time.Time{})
+	err = s.enqueue(j, accepted)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -527,12 +551,12 @@ func (s *Server) submit(spec JobSpec, class queue.Class, flow string) (*Job, err
 // j in jobs and inflight, and journals the accept (fsynced, so a 202 is
 // only sent once the accept is durable, and no settle for this key can
 // be logged before it) unless j already owns its key's record. A zero
-// accepted time is a fresh submission, refused with ErrQueueFull at
-// MaxDepth; accepted work coming back — a journal replay, an adopted
-// steal, a reclaim — passes its admission time and bypasses MaxDepth,
-// because accepted work is never dropped. A draining server refuses
-// both. Journal errors are advisory: the journal demotes itself to
-// memory-only and admission proceeds.
+// accepted time is a fresh submission, refused with ErrQueueFull when
+// its class holds MaxDepth jobs; accepted work — an admitted sweep's
+// cells, a journal replay, an adopted steal, a reclaim — passes its
+// admission time and bypasses MaxDepth, because accepted work is never
+// dropped. A draining server refuses both. Journal errors are advisory:
+// the journal demotes itself to memory-only and admission proceeds.
 func (s *Server) enqueue(j *Job, accepted time.Time) error {
 	it := &queue.Item{
 		Key:      j.key,
@@ -788,9 +812,9 @@ func (s *Server) follow(j, leader *Job) {
 	}
 }
 
-// newJob creates a queued job under the next sequence number. An empty
-// class or flow (a journal or steal record without one) means the
-// interactive one.
+// newJob creates a queued job under the next sequence number, its
+// timeout running unless it is a sweep cell. An empty class or flow (a
+// journal or steal record without one) means the interactive one.
 func (s *Server) newJob(canon JobSpec, key string, class queue.Class, flow string) *Job {
 	timeout := s.cfg.JobTimeout
 	if t := time.Duration(canon.TimeoutSec) * time.Second; t > 0 && t < timeout {
@@ -802,7 +826,13 @@ func (s *Server) newJob(canon JobSpec, key string, class queue.Class, flow strin
 	if flow == "" {
 		flow = "interactive"
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if class == queue.ClassSweep {
+		ctx, cancel = context.WithCancel(context.Background())
+	} else {
+		ctx, cancel = context.WithTimeout(context.Background(), timeout)
+	}
 	deadline, _ := ctx.Deadline()
 	s.mu.Lock()
 	e := s.newEntry("j")
@@ -810,7 +840,7 @@ func (s *Server) newJob(canon JobSpec, key string, class queue.Class, flow strin
 	return &Job{
 		entry: e, key: key, spec: canon,
 		class: class, flow: flow,
-		ctx: ctx, cancel: cancel, deadline: deadline,
+		ctx: ctx, cancel: cancel, timeout: timeout, deadline: deadline,
 		state: StateQueued,
 	}
 }
@@ -946,6 +976,10 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 	j.mu.Unlock()
+	// The run's clock: a sweep cell's timeout starts now, and any other
+	// job keeps the earlier deadline its ctx took at submission.
+	ctx, stop := context.WithTimeout(j.ctx, j.timeout)
+	defer stop()
 	// Cluster lookup sits between the local tiers and the engine: the
 	// key's replicas may already hold the body another node computed.
 	// Checked before the job is marked running — a peer hit settles it
@@ -956,7 +990,7 @@ func (s *Server) runJob(j *Job) {
 	// the set) were missing the body: read-repair pushes it back to
 	// them off the request path.
 	if s.cluster != nil {
-		if body, from, ok := s.cluster.FetchResult(j.ctx, j.key); ok {
+		if body, from, ok := s.cluster.FetchResult(ctx, j.key); ok {
 			s.settlePeerResult(j, body)
 			s.readRepair(j.key, body, from)
 			return
@@ -968,6 +1002,7 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 	j.state = StateRunning
+	j.deadline, _ = ctx.Deadline()
 	s.running.Add(1)
 	j.mu.Unlock()
 	j.lastMove.Store(time.Now().UnixNano())
@@ -1001,7 +1036,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	ran := make(chan result)
 	go func() {
-		body, err := runEngine(j.spec.Engine, run, j.ctx, j.spec, s.cfg.trialWorkers, progress)
+		body, err := runEngine(j.spec.Engine, run, ctx, j.spec, s.cfg.trialWorkers, progress)
 		select {
 		case ran <- result{body, err}:
 		case <-j.done:
@@ -1033,7 +1068,7 @@ func (s *Server) runJob(j *Job) {
 		// panic racing a deadline still reports as the failure it is.
 		s.metrics.EnginePanics.Add(1)
 		s.settle(j, StateRunning, StateFailed, nil, r.err.Error())
-	case j.ctx.Err() != nil:
+	case ctx.Err() != nil:
 		// Cancelled or deadline-expired: keep the partial body so the
 		// client still gets every completed trial.
 		s.settle(j, StateRunning, StateCancelled, r.body, r.err.Error())

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"coordattack/internal/queue"
@@ -55,9 +54,10 @@ type SweepAxes struct {
 }
 
 // sweepCell is one grid point: the canonical job spec it expands to,
-// its content key, and the axis coordinates for presentation. The job
-// is filled by the dispatcher when the cell is submitted, and errMsg
-// when it never is (drain, cancel); both are guarded by Sweep.mu.
+// its content key, and the axis coordinates for presentation. Admission
+// sets job, or errMsg when a drain that began mid-admission refused the
+// cell, before the sweep is registered; the sweep drops job under
+// Sweep.mu once it settles.
 type sweepCell struct {
 	params map[string]string
 	spec   JobSpec
@@ -141,7 +141,7 @@ func (ss SweepSpec) expand() ([]*sweepCell, string, error) {
 		return nil, "", fmt.Errorf("service: sweeps support only the mc engine, got %q", ss.Base.Engine)
 	}
 	if len(ss.Axes.Epsilon) > 0 {
-		if p := normSpec(ss.Base.Protocol); p != "" && !strings.HasPrefix(p, "s") {
+		if p := normSpec(ss.Base.Protocol); p != "" && !strings.HasPrefix(p, "s:") {
 			return nil, "", fmt.Errorf("service: epsilon axis needs an s:EPS base protocol, got %q", ss.Base.Protocol)
 		}
 	} else if normSpec(ss.Base.Protocol) == "" {
@@ -203,17 +203,14 @@ func (ss SweepSpec) expand() ([]*sweepCell, string, error) {
 	return out, hex.EncodeToString(sum[:]), nil
 }
 
-// Sweep is one submitted sweep: its cells, dispatched as ordinary jobs;
+// Sweep is one submitted sweep: its cells, admitted as ordinary jobs;
 // its entry's done channel closes when every cell has settled.
 type Sweep struct {
 	entry
 	key   string
 	cells []*sweepCell
-	// cancelled stops the dispatcher from submitting further cells;
-	// set by CancelSweep.
-	cancelled atomic.Bool
 
-	// mu guards the cells' jobs and errors, and final: the table frozen
+	// mu guards the cells' jobs, and final: the table frozen
 	// once every cell has settled, when the cells drop their jobs so a
 	// retained sweep holds no result bodies and outlives their eviction.
 	mu    sync.Mutex
@@ -256,11 +253,16 @@ type SweepStatus struct {
 	Table     []SweepRow `json:"table"`
 }
 
-// SubmitSweep expands spec into its cell grid and schedules every cell
-// as an ordinary job through Submit — so cells are answered from the
-// result cache, coalesced onto in-flight twins, or enqueued, exactly
-// like individual submissions. The returned status is the submission-
-// time view; poll or watch the sweep for the rolled-up table.
+// SubmitSweep expands spec into its cell grid and admits the sweep as
+// one unit. It is refused up front while draining (ErrDraining) or while
+// the scheduler already holds QueueDepth jobs (ErrQueueFull). Otherwise
+// every cell goes through submit as accepted work — served from the
+// result cache, coalesced onto an in-flight twin, or enqueued on the
+// sweep's own flow past MaxDepth — and only then is the sweep
+// registered: its id never shows with a cell unadmitted, and with a
+// journal the returned status, like a job's 202, means every enqueued
+// cell's accept is durable. Poll or watch the sweep for the rolled-up
+// table.
 func (s *Server) SubmitSweep(spec SweepSpec) (*SweepStatus, error) {
 	cells, key, err := spec.expand()
 	if err != nil {
@@ -269,90 +271,43 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*SweepStatus, error) {
 	s.metrics.SweepsSubmitted.Add(1)
 	s.metrics.SweepCells.Add(int64(len(cells)))
 
-	sw := &Sweep{key: key, cells: cells}
+	// One sweep is admitted at a time, so the depth check covers every
+	// cell admitted after it: the sweep class stays below QueueDepth +
+	// MaxSweepCells, on top of the interactive class's own QueueDepth.
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
 	if s.sched.Depth() >= s.cfg.QueueDepth {
-		// Overload shedding: a sweep accepted while the queue is slammed
-		// would park a dispatcher goroutine spinning on ErrQueueFull.
-		// Rejecting up front (429 + Retry-After) keeps degraded operation
-		// cheap and honest — the client retries when there is room.
 		s.mu.Unlock()
 		s.metrics.SweepsRejected.Add(1)
 		return nil, ErrQueueFull
 	}
-	sw.entry = s.newEntry("sw")
-	s.sweeps[sw.id] = sw
-	// Registering the dispatcher under the lock orders this Add before
-	// Drain's Wait: a sweep accepted before draining is always waited
-	// for.
+	sw := &Sweep{entry: s.newEntry("sw"), key: key, cells: cells}
+	// awaitSweep's share, taken under the lock so that a sweep accepted
+	// before draining is always waited for.
 	s.wg.Add(1)
 	s.mu.Unlock()
-	go s.dispatchSweep(sw)
+	accepted := time.Now()
+	for _, c := range cells {
+		if c.job, err = s.submit(c.spec, queue.ClassSweep, sw.id, accepted); err != nil {
+			c.errMsg = err.Error() // the server began draining
+		}
+	}
+	s.mu.Lock()
+	s.sweeps[sw.id] = sw
+	s.mu.Unlock()
+	go s.awaitSweep(sw)
 	return sw.status(), nil
 }
 
-// dispatchSweep submits every cell, riding out queue-full backpressure
-// with a small backoff and aborting the remainder when the server
-// drains or the sweep is cancelled, then waits for all submitted cells
-// to settle and freezes the sweep's table.
-func (s *Server) dispatchSweep(sw *Sweep) {
+// awaitSweep waits for every admitted cell to settle, freezes the
+// sweep's table and settles the sweep.
+func (s *Server) awaitSweep(sw *Sweep) {
 	defer s.wg.Done()
-	defer func() {
-		// The sweep settles, then the retention pass runs, so a
-		// just-settled sweep immediately counts toward the limit.
-		close(sw.done)
-		s.mu.Lock()
-		retain(s.sweeps, s.cfg.SweepRetention, &s.metrics.SweepsEvicted)
-		s.mu.Unlock()
-	}()
-	abort := "" // once set, every cell not yet submitted settles with it
-	for _, c := range sw.cells {
-		var j *Job
-		var err error
-		for abort == "" {
-			if sw.cancelled.Load() {
-				// Sweep-level cancel: cells already in flight were
-				// cancelled by CancelSweep's fan-out and settle through
-				// their jobs.
-				abort = "sweep cancelled"
-				break
-			}
-			// Cells enter the scheduler on the sweep's own flow: the fair
-			// pass round-robins this sweep against the interactive flow
-			// (and other sweeps), so a saturating grid no longer starves
-			// singleton submissions.
-			if j, err = s.submit(c.spec, queue.ClassSweep, sw.id); err != ErrQueueFull {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		sw.mu.Lock()
-		switch {
-		case j != nil:
-			c.job = j
-		case abort != "":
-			c.errMsg = abort
-		default:
-			// Draining (or a spec regression): record it; on drain stop
-			// dispatching — the cells already in flight still settle.
-			c.errMsg = err.Error()
-			if err == ErrDraining {
-				abort = c.errMsg
-			}
-		}
-		sw.mu.Unlock()
-		if j != nil && sw.cancelled.Load() {
-			// A CancelSweep that ran while submit did found no job here
-			// and cancelled nothing. It sets the flag before reading the
-			// cells, so whichever side looks second cancels the job;
-			// cancelling is idempotent.
-			s.cancelJob(j)
-		}
-	}
 	for _, c := range sw.cells {
 		if c.job != nil {
 			<-c.job.done
@@ -365,6 +320,12 @@ func (s *Server) dispatchSweep(sw *Sweep) {
 		c.job = nil
 	}
 	sw.mu.Unlock()
+	// The sweep settles, then the retention pass runs, so a just-settled
+	// sweep immediately counts toward the limit.
+	close(sw.done)
+	s.mu.Lock()
+	retain(s.sweeps, s.cfg.SweepRetention, &s.metrics.SweepsEvicted)
+	s.mu.Unlock()
 }
 
 // status renders the aggregate view: per-cell job status with the
@@ -446,19 +407,18 @@ func fillRowFromBody(row *SweepRow, body json.RawMessage) {
 
 func (s *Server) sweep(id string) (*Sweep, error) { return lookup(s, s.sweeps, id) }
 
-// CancelSweep cancels a whole sweep: the dispatcher stops submitting
-// further cells, and the cancellation fans out to every cell already
-// dispatched through the ordinary job cancel path — queued cells settle
+// CancelSweep cancels a whole sweep: the cancellation fans out to every
+// cell through the ordinary job cancel path — queued cells settle
 // immediately, running cells when their engine notices, settled cells
 // are untouched (cancelling is idempotent), so cancelling a settled
-// sweep is a no-op that just returns its status. Unknown ids are
+// sweep is a no-op that just returns its status. A registered sweep has
+// every cell admitted, so no cell escapes the fan-out. Unknown ids are
 // ErrNotFound.
 func (s *Server) CancelSweep(id string) (*SweepStatus, error) {
 	sw, err := s.sweep(id)
 	if err != nil {
 		return nil, err
 	}
-	sw.cancelled.Store(true)
 	var jobs []*Job
 	sw.mu.Lock()
 	for _, c := range sw.cells {

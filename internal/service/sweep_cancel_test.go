@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"coordattack/internal/queue"
 	"coordattack/internal/store"
 )
 
@@ -99,36 +100,67 @@ func (f *gatedFS) ReadFile(name string) ([]byte, error) {
 	return f.FS.ReadFile(name)
 }
 
-// TestCancelSweepDuringSubmit lands a sweep cancel while the dispatcher
-// is inside submit for a cell: the cell's job is about to be queued but
-// its id is not yet recorded, so CancelSweep's fan-out cannot reach it.
-// The dispatcher must cancel that job itself once it records the id;
-// otherwise the cell runs its full budget and the sweep settles late.
-func TestCancelSweepDuringSubmit(t *testing.T) {
+// TestSweepAdmittedWhole pins sweep admission as one unit. While the
+// first cell's store lookup is held, the sweep is not listed: its id is
+// not out yet. Once SubmitSweep returns, every row has its job and the
+// journal holds an accept for every cell, so a cancel reaches them all.
+func TestSweepAdmittedWhole(t *testing.T) {
 	fs := &gatedFS{FS: store.DiskFS(), entered: make(chan struct{}), release: make(chan struct{})}
 	st, err := store.Open(t.TempDir(), store.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Workers: 1, Store: st})
-	defer drain(t, s)
-
-	fs.armed.Store(true)
-	sw, err := s.SubmitSweep(slowSweepSpec([]uint64{1}))
+	jl, err := queue.OpenJournal(filepath.Join(t.TempDir(), "queue"), queue.JournalOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(jl.Close)
+	s := New(Config{Workers: 1, Store: st, Journal: jl})
+	defer drain(t, s)
+
+	seeds := []uint64{1, 2, 3, 4}
+	type submitted struct {
+		st  *SweepStatus
+		err error
+	}
+	done := make(chan submitted, 1)
+	fs.armed.Store(true)
+	go func() {
+		st, err := s.SubmitSweep(slowSweepSpec(seeds))
+		done <- submitted{st, err}
+	}()
 	select {
 	case <-fs.entered:
 	case <-time.After(10 * time.Second):
-		t.Fatal("dispatcher never reached the store lookup")
+		t.Fatal("admission never reached the store lookup")
 	}
-	if _, err := s.CancelSweep(sw.ID); err != nil {
+	listed := len(s.Sweeps())
+	close(fs.release)
+	if listed != 0 {
+		t.Fatalf("%d sweeps listed while the first cell was still being admitted, want 0", listed)
+	}
+	var sub submitted
+	select {
+	case sub = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("SubmitSweep did not return after the store lookup was released")
+	}
+	if sub.err != nil {
+		t.Fatal(sub.err)
+	}
+	for i, row := range sub.st.Table {
+		if row.JobID == "" {
+			t.Errorf("row %d (%v) has no job after admission", i, row.Params)
+		}
+	}
+	if got := jl.Stats().Pending; got != len(seeds) {
+		t.Errorf("journal pending = %d after admission, want %d", got, len(seeds))
+	}
+	if _, err := s.CancelSweep(sub.st.ID); err != nil {
 		t.Fatal(err)
 	}
-	close(fs.release)
-	if fin := waitSweep(t, s, sw.ID, 3*time.Second); fin.State != StateCancelled {
-		t.Fatalf("sweep cancelled mid-submit ended %s, want cancelled", fin.State)
+	if fin := waitSweep(t, s, sub.st.ID, 3*time.Second); fin.State != StateCancelled {
+		t.Fatalf("cancelled sweep ended %s, want cancelled", fin.State)
 	}
 }
 

@@ -76,6 +76,8 @@ func TestSweepExpansionRejects(t *testing.T) {
 			Base: JobSpec{Protocol: "s:0.1"},
 			Axes: SweepAxes{Rounds: seqInts(1, 20), Trials: seqInts(100, 20)}, // 400 > MaxSweepCells
 		},
+		{Base: JobSpec{Protocol: "salt:0.1"}, Axes: SweepAxes{Epsilon: []float64{0.2}}}, // epsilon over S′ would become S
+		{Base: JobSpec{Protocol: "s+2:0.1"}, Axes: SweepAxes{Epsilon: []float64{0.2}}},  // epsilon over S with slack would drop the slack
 	}
 	for i, ss := range bad {
 		if _, _, err := ss.expand(); err == nil {
