@@ -1,7 +1,12 @@
 package service
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -90,4 +95,77 @@ func upperRunName(s string) string {
 		return strings.ToUpper(name)
 	}
 	return strings.ToUpper(name) + ":" + args
+}
+
+// FuzzSweepExpand drives arbitrary request bodies, decoded as the sweep
+// endpoint decodes them, through grid expansion and checks its contracts
+// on every accepted sweep:
+//
+//   - a grid whose axis-length product exceeds MaxSweepCells is refused;
+//   - an accepted grid has between 1 and MaxSweepCells cells;
+//   - every cell spec is a canonical fixed point whose Key is the cell's
+//     key, and no two cells share a key;
+//   - the sweep key is sha256 over sweepKeyVersion and the sorted cell
+//     keys.
+func FuzzSweepExpand(f *testing.F) {
+	// The two grid shapes the sweep-miss benchmark submits.
+	f.Add([]byte(`{"base": {"run": "good", "trials": 20000, "seed": 500001}, "axes": {"graphs": ["pair", "complete:4", "ring:6"], "rounds": [6, 8, 10, 12], "epsilon": [0.05, 0.1, 0.2]}}`))
+	f.Add([]byte(`{"base": {"protocol": "detfullinfo", "run": "good", "trials": 20000, "seed": 500002}, "axes": {"graphs": ["pair", "complete:4", "ring:6"], "rounds": [6, 8, 10, 12]}}`))
+	f.Add([]byte(`{"base": {"trials": 2000}, "axes": {"epsilon": [0.1, 0.2, 0.4]}}`))
+	f.Add([]byte(`{"base": {"protocol": "s:0.1", "trials": 2000}, "axes": {"rounds": [8, 10], "fault_rate": [0, 0.25]}}`))
+	f.Add([]byte(`{"base": {"protocol": "S:0.1 "}, "axes": {"rounds": [10, 10], "trials": [20000, 20000], "seeds": [0, 1]}}`))
+	f.Add([]byte(`{"base": {"protocol": "a"}, "axes": {"seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17], "trials": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]}}`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var ss SweepSpec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&ss) != nil {
+			return
+		}
+		a := ss.Axes
+		product := 1
+		for _, n := range []int{len(a.Graphs), len(a.Rounds), len(a.Epsilon), len(a.FaultRate), len(a.Trials), len(a.Seeds)} {
+			if n > 0 {
+				product = min(product*n, MaxSweepCells+1)
+			}
+		}
+		cells, key, err := ss.expand()
+		if product > MaxSweepCells {
+			if err == nil {
+				t.Fatalf("grid of more than %d cells accepted: %s", MaxSweepCells, body)
+			}
+			return
+		}
+		if err != nil {
+			return // rejected sweeps only need to not panic
+		}
+		if len(cells) < 1 || len(cells) > MaxSweepCells {
+			t.Fatalf("grid of %d cells", len(cells))
+		}
+		keys := make([]string, 0, len(cells))
+		seen := make(map[string]bool, len(cells))
+		for i, c := range cells {
+			canon, err := c.spec.Canonicalize()
+			if err != nil {
+				t.Fatalf("cell %d spec rejected on re-canonicalization: %v\nspec: %+v", i, err, c.spec)
+			}
+			if !reflect.DeepEqual(canon, c.spec) {
+				t.Fatalf("cell %d spec is not canonical:\n cell %+v\ncanon %+v", i, c.spec, canon)
+			}
+			if k := c.spec.Key(); k != c.key {
+				t.Fatalf("cell %d key %s, its spec keys to %s", i, c.key, k)
+			}
+			if seen[c.key] {
+				t.Fatalf("cell %d repeats key %s", i, c.key)
+			}
+			seen[c.key] = true
+			keys = append(keys, c.key)
+		}
+		sort.Strings(keys)
+		sum := sha256.Sum256([]byte(sweepKeyVersion + "\n" + strings.Join(keys, "\n")))
+		if want := hex.EncodeToString(sum[:]); key != want {
+			t.Fatalf("sweep key %s, want %s over the sorted cell keys", key, want)
+		}
+	})
 }

@@ -15,7 +15,7 @@ import (
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST   /v1/jobs            submit a JobSpec (200 done-from-cache, 202 queued)
+//	POST   /v1/jobs            submit a JobSpec (200 done-from-cache, 202 queued, 413 body past 64 MiB)
 //	GET    /v1/jobs            list all jobs
 //	GET    /v1/jobs/{id}       poll one job's status/progress/result
 //	GET    /v1/jobs/{id}/watch stream NDJSON status lines until terminal
@@ -101,15 +101,26 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// decode reads a POST body into spec, rejecting unknown fields rather
-// than ignoring them: a typoed field name would otherwise silently
-// canonicalize to a different job. A body that does not decode answers
-// 400 naming the kind of spec, and decode reports false.
+// maxBodyBytes bounds a job or sweep submission body. The largest spec
+// coordd serves is a custom: run at the maxRunCost limit, at most 48 MiB
+// of text (DESIGN §8), so 64 MiB admits it with room to spare.
+const maxBodyBytes = 64 << 20
+
+// decode reads a POST body of at most maxBodyBytes into spec, rejecting
+// unknown fields rather than ignoring them: a typoed field name would
+// otherwise silently canonicalize to a different job. A body that does
+// not decode answers 400 naming the kind of spec, one that runs past the
+// bound 413, and decode reports false.
 func decode(w http.ResponseWriter, r *http.Request, kind string, spec any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("decoding %s spec: %v", kind, err)})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, apiError{Error: fmt.Sprintf("decoding %s spec: %v", kind, err)})
 		return false
 	}
 	return true

@@ -160,6 +160,39 @@ func TestHTTPValidationAndErrors(t *testing.T) {
 	}
 }
 
+// spaces reads as an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestHTTPBodyPastBoundIs413: a submission body one byte longer than
+// maxBodyBytes answers 413 with the JSON error body, though it is a
+// valid spec behind leading whitespace that would otherwise decode. The
+// body is generated as it is read, so the test never holds it.
+func TestHTTPBodyPastBoundIs413(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer drain(t, s)
+	spec := `{"protocol": "s:0.5", "rounds": 2, "trials": 100}`
+	body := io.MultiReader(io.LimitReader(spaces{}, int64(maxBodyBytes+1-len(spec))), strings.NewReader(spec))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("code %d for a body one byte past the bound, want 413", rec.Code)
+	}
+	var e apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Errorf("413 body %q is not an API error (%v)", rec.Body.String(), err)
+	}
+	if n := s.Metrics().JobsSubmitted.Load(); n != 0 {
+		t.Fatalf("%d jobs submitted from an oversized body", n)
+	}
+}
+
 // TestHTTPSurfaceJobsAndSweeps pins the replies the job and sweep
 // routes share: an unknown id answers 404 with a JSON error on GET,
 // DELETE and /watch; a POST whose body is not JSON or carries an

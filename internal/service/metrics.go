@@ -18,6 +18,10 @@ import (
 // is stdlib: atomics for counters, a fixed-bucket histogram under a
 // mutex.
 type Metrics struct {
+	// JobsSubmitted counts every valid job submission — cache hits and
+	// ones refused with 429 or 503 included — and every cell of an
+	// admitted sweep. An invalid spec does not count, and neither does a
+	// journal replay, which counts in QueueReplayed alone.
 	JobsSubmitted atomic.Int64
 	JobsCompleted atomic.Int64
 	JobsFailed    atomic.Int64
@@ -59,14 +63,15 @@ type Metrics struct {
 	ReadRepairs atomic.Int64
 
 	// EngineRuns counts actual engine executions: submissions minus
-	// cache hits, coalesced attaches, rejections, and queued cancels.
+	// cache hits, coalesced attaches, rejections, and queued cancels,
+	// plus the replayed and adopted jobs that ran. Without those,
 	// JobsSubmitted − EngineRuns is the work the memoization layer saved.
 	EngineRuns atomic.Int64
 	// EnginePanics counts engine executions that died by panic and were
 	// recovered into a single failed job (the daemon kept serving).
 	EnginePanics atomic.Int64
 
-	SweepsSubmitted atomic.Int64 // sweep requests accepted
+	SweepsSubmitted atomic.Int64 // valid sweep requests, 429 and 503 refusals included
 	SweepsRejected  atomic.Int64 // sweeps rejected with queue-full backpressure
 	SweepsEvicted   atomic.Int64 // settled sweeps evicted past the retention limit
 	SweepCells      atomic.Int64 // grid cells expanded across all sweeps
@@ -208,7 +213,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
 	pushes, pushFailures, stealCommits := replicaCounts(g.Cluster)
-	counter("coordd_jobs_submitted_total", "Jobs accepted for scheduling.", m.JobsSubmitted.Load())
+	counter("coordd_jobs_submitted_total", "Valid job submissions and admitted sweep cells, cache hits and 429/503 refusals included.", m.JobsSubmitted.Load())
 	counter("coordd_jobs_completed_total", "Jobs that finished successfully.", m.JobsCompleted.Load())
 	counter("coordd_jobs_failed_total", "Jobs that ended in an error.", m.JobsFailed.Load())
 	counter("coordd_jobs_cancelled_total", "Jobs cancelled or deadline-expired.", m.JobsCancelled.Load())
@@ -218,7 +223,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 	counter("coordd_watchdog_kills_total", "Stuck jobs killed by the watchdog.", m.WatchdogKills.Load())
 	counter("coordd_engine_runs_total", "Engine executions actually performed.", m.EngineRuns.Load())
 	counter("coordd_engine_panics_total", "Engine panics recovered into single-job failures.", m.EnginePanics.Load())
-	counter("coordd_sweeps_submitted_total", "Parameter sweeps accepted.", m.SweepsSubmitted.Load())
+	counter("coordd_sweeps_submitted_total", "Valid parameter sweep submissions, 429/503 refusals included.", m.SweepsSubmitted.Load())
 	counter("coordd_sweeps_rejected_total", "Sweeps rejected with queue-full backpressure.", m.SweepsRejected.Load())
 	counter("coordd_sweeps_evicted_total", "Settled sweeps evicted past the retention limit.", m.SweepsEvicted.Load())
 	counter("coordd_sweep_cells_total", "Grid cells expanded across all sweeps.", m.SweepCells.Load())

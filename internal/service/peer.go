@@ -124,17 +124,18 @@ func (s *Server) handlePeerStealCommit(w http.ResponseWriter, r *http.Request) {
 		if !validKey(key) {
 			continue
 		}
+		owned := false
 		s.mu.Lock()
-		j := s.inflight[key]
-		s.mu.Unlock()
-		if j == nil {
-			continue
+		if j := s.inflight[key]; j != nil {
+			j.mu.Lock()
+			if j.stolenBy == req.Thief {
+				owned, j.journaled = j.journaled, false
+			}
+			j.mu.Unlock()
 		}
-		j.mu.Lock()
-		committed := j.stolenBy == req.Thief
-		j.mu.Unlock()
-		if committed {
-			s.journalSettle(j)
+		s.mu.Unlock()
+		if owned {
+			_ = s.journal.Settle(key)
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -390,5 +391,67 @@ func TestJournalRestartReplay(t *testing.T) {
 	}
 	if st := j2.Stats(); st.Pending != 0 {
 		t.Fatalf("journal pending = %d after settlement, want 0", st.Pending)
+	}
+}
+
+// reopenedJournal journals an accept of spec under each key, then
+// reopens the journal, so the records are pending for the next server
+// to replay.
+func reopenedJournal(t *testing.T, spec JobSpec, keys ...string) *queue.Journal {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "queue")
+	j, err := queue.OpenJournal(dir, queue.JournalOptions{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		if err := j.Accept(queue.Record{Key: key, Flow: "interactive", Class: string(queue.ClassInteractive), Spec: specJSON}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	if j, err = queue.OpenJournal(dir, queue.JournalOptions{Logf: t.Logf}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(j.Close)
+	return j
+}
+
+// TestJournalReplayCoalescesDuplicateKeys: two pending records under
+// different keys whose specs canonicalize to one key — what a
+// canonicalization change leaves behind — replay through the shared
+// admission, so the second coalesces onto the first: one engine run for
+// the one key, and no record left pending.
+func TestJournalReplayCoalescesDuplicateKeys(t *testing.T) {
+	canon, err := JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 200, Seed: 7}.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl := reopenedJournal(t, canon, strings.Repeat("a", 64), strings.Repeat("b", 64))
+	s := New(Config{Workers: 2, Journal: jl})
+	waitUntil(t, "both replayed jobs to settle", func() bool {
+		jobs := s.Jobs()
+		return len(jobs) == 2 && jobs[0].State.Terminal() && jobs[1].State.Terminal()
+	})
+	// Drain waits out the workers, so the leader's settle — tombstone
+	// included — has finished.
+	drain(t, s)
+	for _, st := range s.Jobs() {
+		if st.State != StateDone || st.Key != canon.Key() {
+			t.Fatalf("replayed job %s: state %s key %s, want done under %s", st.ID, st.State, st.Key, canon.Key())
+		}
+	}
+	if runs := s.Metrics().EngineRuns.Load(); runs != 1 {
+		t.Fatalf("engine runs = %d for one key, want 1", runs)
+	}
+	if c := s.Metrics().JobsCoalesced.Load(); c != 1 {
+		t.Fatalf("jobs coalesced = %d, want 1", c)
+	}
+	if p := jl.Stats().Pending; p != 0 {
+		t.Fatalf("journal pending = %d after settlement, want 0", p)
 	}
 }

@@ -147,7 +147,11 @@ func TestRetryAfterPerClass(t *testing.T) {
 		}
 	}
 	for seed := uint64(9003); seed <= 9005; seed++ {
-		if _, err := s.submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: seed}, queue.ClassSweep, "sweep:test", time.Now()); err != nil {
+		spec, err := JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: seed}.Canonicalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.submit(s.newJob(spec, spec.Key(), queue.ClassSweep, "sweep:test"), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -471,79 +471,88 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // CacheStats exposes the cache's hit/miss counters.
 func (s *Server) CacheStats() (hits, misses int64) { return s.cache.Stats() }
 
-// Submit canonicalizes spec, answers from the cache when possible,
-// coalesces onto an identical in-flight job otherwise, and only then
-// enqueues a fresh one. The returned Status is the submission-time
-// view: state "done" with the result inline on a cache hit, "queued"
-// (possibly coalesced) otherwise. Backpressure and drain are reported
-// as ErrQueueFull and ErrDraining.
+// Submit canonicalizes spec once, counts it as submitted, and admits it
+// as an interactive job through submit. The returned Status is the
+// submission-time view: state "done" with the result inline on a cache
+// hit, "queued" (possibly coalesced) otherwise. Backpressure and drain
+// are reported as ErrQueueFull and ErrDraining.
 func (s *Server) Submit(spec JobSpec) (*Status, error) {
-	j, err := s.submit(spec, queue.ClassInteractive, "interactive", time.Time{})
+	canon, err := spec.Canonicalize()
 	if err != nil {
+		return nil, err
+	}
+	s.metrics.JobsSubmitted.Add(1)
+	j := s.newJob(canon, canon.Key(), queue.ClassInteractive, "interactive")
+	if err := s.submit(j, time.Time{}); err != nil {
 		return nil, err
 	}
 	return j.status(), nil
 }
 
-// submit is Submit with an explicit scheduling envelope: individual
-// submissions share the "interactive" flow, sweep cells ride their
-// sweep's own flow (class "sweep"), so the fair scheduler round-robins
-// sweeps against singletons instead of draining whichever came first.
-// accepted is enqueue's: zero for a fresh submission, bounded by
-// MaxDepth, or the admission time of the sweep a cell belongs to.
-func (s *Server) submit(spec JobSpec, class queue.Class, flow string, accepted time.Time) (*Job, error) {
-	canon, err := spec.Canonicalize()
-	if err != nil {
-		return nil, err
-	}
-	key := canon.Key()
-	s.metrics.JobsSubmitted.Add(1)
-
-	j := s.newJob(canon, key, class, flow)
-	if body, ok := s.local(key); ok {
+// submit is the one admission decision, for a job newJob built from a
+// canonical spec and its key: a client job, a sweep cell or a replayed
+// journal record. A local result serves j as a cache hit; a queued or
+// running twin of its key takes j as a coalesced follower; otherwise j
+// is enqueued in its envelope — individual submissions share the
+// "interactive" flow, sweep cells ride their sweep's own flow (class
+// "sweep"), so the fair scheduler round-robins sweeps against
+// singletons. accepted is enqueue's: zero for a client job, bounded by
+// MaxDepth, or the admission time of a cell's sweep or a replayed
+// record.
+func (s *Server) submit(j *Job, accepted time.Time) error {
+	if body, ok := s.local(j.key); ok {
 		// A prior (possibly pre-restart) run settled this key: serve it
 		// as a cache hit; no engine run, so coordd_engine_runs_total
 		// stays put.
 		s.serveCached(j, body)
-		return j, nil
+		return nil
 	}
 
 	s.mu.Lock()
-	if leader, ok := s.inflight[key]; ok {
+	if leader, ok := s.inflight[j.key]; ok {
 		if s.draining {
 			// A follower would be new work that Drain waits out: refused
 			// like a fresh job, which enqueue refuses below.
 			s.mu.Unlock()
 			j.cancel()
-			return nil, ErrDraining
+			return ErrDraining
 		}
 		// An identical job is already queued or running: attach to it
 		// instead of computing twice. The wg.Add is safe here because a
 		// registered leader's worker cannot have exited yet — it drops
-		// the registry entry (under this lock) before returning.
-		j.coalesced = true
+		// the registry entry (under this lock) before returning. A
+		// follower owns no journal record: its leader's accept covers
+		// the key.
+		j.coalesced, j.journaled = true, false
 		s.jobs[j.id] = j
 		s.metrics.JobsCoalesced.Add(1)
 		s.wg.Add(1)
 		s.mu.Unlock()
 		go s.follow(j, leader)
-		return j, nil
+		return nil
 	}
-	if body, ok := s.cache.Get(key); ok {
+	if body, ok := s.cache.Get(j.key); ok {
 		// The leader settled between the unlocked cache check and here.
 		// Its body was cached before the registry entry was dropped, so
 		// this second check under the lock cannot miss, and it answers
 		// even while draining.
 		s.mu.Unlock()
 		s.serveCached(j, body)
-		return j, nil
+		return nil
 	}
-	err = s.enqueue(j, accepted)
+	if thief := j.stolenBy; thief != "" {
+		// A replayed steal intent whose body is not local: follow the
+		// thief, which may hold the job, instead of running it twice.
+		s.jobs[j.id] = j
+		s.inflight[j.key] = j
+		s.wg.Add(1)
+		s.mu.Unlock()
+		go s.awaitStolen(j, thief)
+		return nil
+	}
+	err := s.enqueue(j, accepted)
 	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return j, nil
+	return err
 }
 
 // enqueue is the one way a job enters the scheduler. Called under s.mu,
@@ -647,13 +656,15 @@ func (s *Server) settle(j *Job, from, to State, body json.RawMessage, errMsg str
 	j.mu.Unlock()
 
 	s.mu.Lock()
-	it := j.item
-	j.item = nil
+	it, owned := j.item, j.journaled
+	j.item, j.journaled = nil, false
 	s.mu.Unlock()
 	if it != nil {
 		s.sched.Remove(it)
 	}
-	s.journalSettle(j)
+	if owned {
+		_ = s.journal.Settle(j.key)
+	}
 	s.mu.Lock()
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
@@ -664,91 +675,65 @@ func (s *Server) settle(j *Job, from, to State, body json.RawMessage, errMsg str
 	return true
 }
 
-// journalSettle tombstones j's journal entry, exactly once, and only if
-// j owns it — coalesced followers share the leader's key but must not
-// erase its pending record.
-func (s *Server) journalSettle(j *Job) {
-	if s.journal == nil {
-		return
-	}
-	s.mu.Lock()
-	owned := j.journaled
-	j.journaled = false
-	s.mu.Unlock()
-	if owned {
-		_ = s.journal.Settle(j.key)
-	}
-}
-
-// replayJournal re-admits the pending jobs the journal recovered: each
-// record's spec is re-canonicalized, answered from the durable result
-// store when the settle beat the crash but its tombstone did not, and
-// otherwise enqueued again in its original flow, with its original
-// admission time. Records that no longer canonicalize (a spec
-// regression across versions) are tombstoned and dropped; a key that
-// re-canonicalizes differently (keyVersion bump) is re-accepted under
-// the new key so a later crash replays the right one.
+// replayJournal re-admits the pending jobs the journal recovered, in
+// admission order, each through submit with its original flow, class
+// and admission time: a record whose body the store already holds is
+// served from it (the settle beat the crash, its tombstone did not),
+// two records whose specs canonicalize to one key coalesce, and
+// everything else is enqueued again, bypassing MaxDepth. A record whose
+// spec still canonicalizes to its key keeps owning it; one that
+// re-canonicalizes differently (keyVersion bump) is admitted under the
+// new key, which enqueue re-accepts, before its old key is tombstoned,
+// so a later crash replays the right one. Records that no longer decode
+// or canonicalize (a spec regression across versions) are tombstoned
+// and dropped.
 func (s *Server) replayJournal() {
 	if s.journal == nil {
 		return
 	}
 	for _, rec := range s.journal.Pending() {
 		var spec JobSpec
-		if err := json.Unmarshal(rec.Spec, &spec); err != nil {
-			_ = s.journal.Settle(rec.Key)
-			continue
+		err := json.Unmarshal(rec.Spec, &spec)
+		if err == nil {
+			spec, err = spec.Canonicalize()
 		}
-		canon, err := spec.Canonicalize()
 		if err != nil {
 			_ = s.journal.Settle(rec.Key)
 			continue
 		}
-		key := canon.Key()
-		j := s.newJob(canon, key, queue.Class(rec.Class), rec.Flow)
+		key := spec.Key()
 		s.metrics.QueueReplayed.Add(1)
-		if body, ok := s.local(key); ok {
-			// The engine ran and the body persisted before the crash; only
-			// the tombstone was lost. Serve the stored result — no second
-			// engine run — and settle the journal now.
-			s.serveCached(j, body)
-			_ = s.journal.Settle(rec.Key)
-			continue
-		}
-		s.mu.Lock()
-		if key == rec.Key {
-			j.journaled = true
-		} else {
-			_ = s.journal.Settle(rec.Key)
-		}
-		if rec.Op == queue.OpIntent && rec.Thief != "" && s.cluster != nil && key == rec.Key {
+		j := s.newJob(spec, key, queue.Class(rec.Class), rec.Flow)
+		j.journaled = key == rec.Key
+		if j.journaled && rec.Op == queue.OpIntent && rec.Thief != "" && s.cluster != nil {
 			// The crash interrupted a steal handoff after the intent was
 			// journaled but before the thief's commit tombstoned it. The
 			// thief may well hold the job (it journaled it and crashed
 			// before committing — its own replay re-runs it), or it may
-			// never have durably taken it. Re-attach the follower: it polls
-			// the recorded thief and reclaims for a local re-run only once
-			// the thief provably has no record of the key. Blindly
-			// re-enqueuing here would be the double-execution half of the
+			// never have durably taken it. submit re-attaches the
+			// follower, which reclaims for a local re-run only once the
+			// thief provably has no record of the key: blindly
+			// re-enqueueing would be the double-execution half of the
 			// double-crash window the two-phase handoff closes.
 			j.stolenBy = rec.Thief
-			s.jobs[j.id] = j
-			s.inflight[key] = j
-			s.wg.Add(1)
-			s.mu.Unlock()
-			go s.awaitStolen(j, rec.Thief)
-			continue
 		}
 		accepted := time.Now()
 		if rec.At > 0 {
 			accepted = time.Unix(0, rec.At)
 		}
-		_ = s.enqueue(j, accepted)
-		s.mu.Unlock()
+		// Replay runs before Drain can begin, and accepted work bypasses
+		// MaxDepth, so submit refuses nothing here.
+		_ = s.submit(j, accepted)
+		if key != rec.Key {
+			_ = s.journal.Settle(rec.Key)
+		}
 	}
 }
 
-// serveCached settles a freshly created job inline with a memoized body.
-// It is a hit, not a settlement: no completed/failed/cancelled count.
+// serveCached settles a freshly created job inline with a memoized body
+// and tombstones the journal record the job owns, which only a replayed
+// record can. It is a hit, not a settlement: no completed/failed/
+// cancelled count.
 func (s *Server) serveCached(j *Job, body json.RawMessage) {
 	j.cached = true
 	j.state = StateDone
@@ -758,8 +743,13 @@ func (s *Server) serveCached(j *Job, body json.RawMessage) {
 	j.cancel()
 	s.mu.Lock()
 	s.jobs[j.id] = j
+	owned := j.journaled
+	j.journaled = false
 	retain(s.jobs, s.cfg.JobRetention, &s.metrics.JobsEvicted)
 	s.mu.Unlock()
+	if owned {
+		_ = s.journal.Settle(j.key)
+	}
 }
 
 // local is the one local result lookup: the memory LRU, then the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -302,4 +303,97 @@ func TestDeadlineExpiryCancelsJob(t *testing.T) {
 	if fin.State != StateCancelled {
 		t.Errorf("deadline-expired job state %s, want cancelled", fin.State)
 	}
+}
+
+// TestSubmissionCounters pins what the submission counters count.
+// JobsSubmitted counts every valid submission — cache hits, and ones
+// refused with 429 or 503 — plus every cell of an admitted sweep, but
+// neither an invalid spec nor a replayed journal record, which counts in
+// QueueReplayed alone. SweepsSubmitted counts every valid sweep, refused
+// ones included; SweepsRejected the 429s among them.
+func TestSubmissionCounters(t *testing.T) {
+	type counts struct{ jobs, rejected, sweeps, sweepsRejected, replayed int64 }
+	check := func(s *Server, what string, want counts) {
+		t.Helper()
+		m := s.Metrics()
+		got := counts{m.JobsSubmitted.Load(), m.JobsRejected.Load(), m.SweepsSubmitted.Load(), m.SweepsRejected.Load(), m.QueueReplayed.Load()}
+		if got != want {
+			t.Fatalf("after %s: counters %+v, want %+v", what, got, want)
+		}
+	}
+	spec := func(seed uint64) JobSpec { return JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 200, Seed: seed} }
+	sweep := func(seeds ...uint64) SweepSpec {
+		return SweepSpec{Base: JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 200}, Axes: SweepAxes{Seeds: seeds}}
+	}
+
+	block := make(chan struct{})
+	s := New(Config{Workers: 1, QueueDepth: 1, WatchdogInterval: -1, WrapEngine: stallWrapper(666, block)})
+	if _, err := s.Submit(JobSpec{Protocol: "zzz"}); err == nil {
+		t.Fatal("invalid spec accepted")
+	}
+	check(s, "an invalid spec", counts{})
+	gate, err := s.Submit(spec(666))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the gate job to run", func() bool {
+		st, err := s.Get(gate.ID)
+		return err == nil && st.State == StateRunning
+	})
+	if _, err := s.SubmitSweep(sweep(10, 11, 12)); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "an admitted 3-cell sweep", counts{jobs: 4, sweeps: 1})
+	if _, err := s.SubmitSweep(sweep(20, 21)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("sweep past QueueDepth: %v, want ErrQueueFull", err)
+	}
+	check(s, "a 429'd sweep", counts{jobs: 4, sweeps: 2, sweepsRejected: 1})
+	if _, err := s.Submit(spec(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(spec(2)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("job past QueueDepth: %v, want ErrQueueFull", err)
+	}
+	check(s, "a queued and a 429'd job", counts{jobs: 6, rejected: 1, sweeps: 2, sweepsRejected: 1})
+
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		drained <- s.Drain(ctx)
+	}()
+	waitUntil(t, "the drain to begin", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.draining
+	})
+	if _, err := s.Submit(spec(3)); !errors.Is(err, ErrDraining) {
+		t.Fatalf("job while draining: %v, want ErrDraining", err)
+	}
+	if _, err := s.SubmitSweep(sweep(30)); !errors.Is(err, ErrDraining) {
+		t.Fatalf("sweep while draining: %v, want ErrDraining", err)
+	}
+	check(s, "a job and a sweep refused while draining", counts{jobs: 7, rejected: 1, sweeps: 3, sweepsRejected: 1})
+	close(block)
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+
+	// Replay counts in QueueReplayed alone; a later hit on the replayed
+	// key is an ordinary submission.
+	canon, err := spec(5).Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(Config{Workers: 1, Journal: reopenedJournal(t, canon, canon.Key())})
+	defer drain(t, r)
+	check(r, "a replay", counts{replayed: 1})
+	waitUntil(t, "the replayed job to settle", func() bool {
+		jobs := r.Jobs()
+		return len(jobs) == 1 && jobs[0].State == StateDone
+	})
+	if st, err := r.Submit(spec(5)); err != nil || !st.Cached {
+		t.Fatalf("resubmitting the replayed key: %+v, %v; want a cache hit", st, err)
+	}
+	check(r, "a cache hit", counts{jobs: 1, replayed: 1})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -67,75 +68,61 @@ type sweepCell struct {
 	errMsg string
 }
 
-// axisValue is one (name, rendered value, apply) triple during
-// expansion.
-type axisValue struct {
-	name  string
-	value string
-	apply func(*JobSpec)
+// sweepAxis is one row of the axis table: the parameter name, how many
+// values the axis holds, and set, which applies value i to a cell spec
+// and returns its rendering for the cell's params.
+type sweepAxis struct {
+	name string
+	n    int
+	set  func(s *JobSpec, i int) string
 }
 
-// axes flattens the non-empty axes into expansion order. The order is
-// fixed — it determines grid enumeration order, though not the sweep
-// key, which is order-independent.
-func (a SweepAxes) axes() []([]axisValue) {
-	var out [][]axisValue
-	add := func(vals []axisValue) {
-		if len(vals) > 0 {
-			out = append(out, vals)
-		}
-	}
-	var g []axisValue
-	for _, v := range a.Graphs {
-		v := v
-		g = append(g, axisValue{"graph", normSpec(v), func(s *JobSpec) { s.Graph = v }})
-	}
-	add(g)
-	var r []axisValue
-	for _, v := range a.Rounds {
-		v := v
-		r = append(r, axisValue{"rounds", fmt.Sprintf("%d", v), func(s *JobSpec) { s.Rounds = v }})
-	}
-	add(r)
-	var e []axisValue
-	for _, v := range a.Epsilon {
-		v := v
-		e = append(e, axisValue{"epsilon", fmt.Sprintf("%g", v), func(s *JobSpec) { s.Protocol = fmt.Sprintf("s:%g", v) }})
-	}
-	add(e)
-	var f []axisValue
-	for _, v := range a.FaultRate {
-		v := v
-		f = append(f, axisValue{"fault_rate", fmt.Sprintf("%g", v), func(s *JobSpec) {
-			if v == 0 {
-				s.Fault = ""
-			} else {
-				s.Fault = fmt.Sprintf("rand:%g", v)
+// table lists the six axes in their fixed expansion order, empty ones
+// included. The order determines grid enumeration order, though not the
+// sweep key, which is order-independent.
+func (a SweepAxes) table() [6]sweepAxis {
+	return [6]sweepAxis{
+		{"graph", len(a.Graphs), func(s *JobSpec, i int) string {
+			s.Graph = a.Graphs[i]
+			return normSpec(s.Graph)
+		}},
+		{"rounds", len(a.Rounds), func(s *JobSpec, i int) string {
+			s.Rounds = a.Rounds[i]
+			return strconv.Itoa(s.Rounds)
+		}},
+		{"epsilon", len(a.Epsilon), func(s *JobSpec, i int) string {
+			v := fmt.Sprintf("%g", a.Epsilon[i])
+			s.Protocol = "s:" + v
+			return v
+		}},
+		{"fault_rate", len(a.FaultRate), func(s *JobSpec, i int) string {
+			v := fmt.Sprintf("%g", a.FaultRate[i])
+			s.Fault = ""
+			if a.FaultRate[i] != 0 {
+				s.Fault = "rand:" + v
 			}
-		}})
+			return v
+		}},
+		{"trials", len(a.Trials), func(s *JobSpec, i int) string {
+			s.Trials = a.Trials[i]
+			return strconv.Itoa(s.Trials)
+		}},
+		{"seed", len(a.Seeds), func(s *JobSpec, i int) string {
+			s.Seed = a.Seeds[i]
+			return strconv.FormatUint(s.Seed, 10)
+		}},
 	}
-	add(f)
-	var t []axisValue
-	for _, v := range a.Trials {
-		v := v
-		t = append(t, axisValue{"trials", fmt.Sprintf("%d", v), func(s *JobSpec) { s.Trials = v }})
-	}
-	add(t)
-	var sd []axisValue
-	for _, v := range a.Seeds {
-		v := v
-		sd = append(sd, axisValue{"seed", fmt.Sprintf("%d", v), func(s *JobSpec) { s.Seed = v }})
-	}
-	add(sd)
-	return out
 }
 
 // expand validates the sweep and returns its deduplicated cell grid in
-// enumeration order plus the sweep key. Every cell is canonicalized
-// through JobSpec.Canonicalize, so an invalid grid point rejects the
-// whole sweep at submit time. Cells whose canonical keys collide (two
-// spellings of one computation, or a duplicated axis value) are merged,
-// keeping the first occurrence.
+// enumeration order plus the sweep key. The grid is sized from the axis
+// lengths before any cell is built, so an oversized sweep is refused
+// without rendering a value. Cells are enumerated by index, the last
+// non-empty axis fastest, and each is canonicalized once through
+// JobSpec.Canonicalize: an invalid grid point rejects the whole sweep
+// at submit time, and a cell leaves here canonical and keyed. Cells
+// whose canonical keys collide (two spellings of one computation, or a
+// duplicated axis value) are merged, keeping the first occurrence.
 func (ss SweepSpec) expand() ([]*sweepCell, string, error) {
 	if e := normSpec(ss.Base.Engine); e != "" && e != EngineMC {
 		return nil, "", fmt.Errorf("service: sweeps support only the mc engine, got %q", ss.Base.Engine)
@@ -148,26 +135,28 @@ func (ss SweepSpec) expand() ([]*sweepCell, string, error) {
 		return nil, "", fmt.Errorf("service: sweep base needs a protocol (or an epsilon axis)")
 	}
 
-	axes := ss.Axes.axes()
+	var axes []sweepAxis
 	cells := 1
-	for _, ax := range axes {
-		cells *= len(ax)
-		if cells > MaxSweepCells {
+	for _, ax := range ss.Axes.table() {
+		if ax.n == 0 {
+			continue
+		}
+		// Checked per axis, so the product cannot overflow.
+		if cells *= ax.n; cells > MaxSweepCells {
 			return nil, "", fmt.Errorf("service: sweep grid exceeds %d cells", MaxSweepCells)
 		}
+		axes = append(axes, ax)
 	}
 
-	var out []*sweepCell
-	seen := make(map[string]bool)
-	// pick[i] indexes the chosen value of axes[i]; odometer enumeration.
-	pick := make([]int, len(axes))
-	for {
+	out := make([]*sweepCell, 0, cells)
+	seen := make(map[string]bool, cells)
+	for c := 0; c < cells; c++ {
 		spec := ss.Base
 		params := make(map[string]string, len(axes))
-		for i, ax := range axes {
-			av := ax[pick[i]]
-			av.apply(&spec)
-			params[av.name] = av.value
+		for i, rest := len(axes)-1, c; i >= 0; i-- {
+			ax := axes[i]
+			params[ax.name] = ax.set(&spec, rest%ax.n)
+			rest /= ax.n
 		}
 		canon, err := spec.Canonicalize()
 		if err != nil {
@@ -176,18 +165,6 @@ func (ss SweepSpec) expand() ([]*sweepCell, string, error) {
 		if key := canon.Key(); !seen[key] {
 			seen[key] = true
 			out = append(out, &sweepCell{params: params, spec: canon, key: key})
-		}
-		// Advance the odometer, most-significant axis first.
-		i := len(axes) - 1
-		for ; i >= 0; i-- {
-			pick[i]++
-			if pick[i] < len(axes[i]) {
-				break
-			}
-			pick[i] = 0
-		}
-		if i < 0 {
-			break
 		}
 	}
 
@@ -291,10 +268,13 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*SweepStatus, error) {
 	// before draining is always waited for.
 	s.wg.Add(1)
 	s.mu.Unlock()
+	s.metrics.JobsSubmitted.Add(int64(len(cells)))
 	accepted := time.Now()
 	for _, c := range cells {
-		if c.job, err = s.submit(c.spec, queue.ClassSweep, sw.id, accepted); err != nil {
-			c.errMsg = err.Error() // the server began draining
+		// The cell arrives canonical and keyed from expand.
+		c.job = s.newJob(c.spec, c.key, queue.ClassSweep, sw.id)
+		if err := s.submit(c.job, accepted); err != nil {
+			c.job, c.errMsg = nil, err.Error() // the server began draining
 		}
 	}
 	s.mu.Lock()

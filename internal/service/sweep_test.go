@@ -3,7 +3,11 @@ package service
 import (
 	"bufio"
 	"encoding/json"
+	"math"
 	"net/http"
+	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -62,6 +66,65 @@ func TestSweepExpansion(t *testing.T) {
 	}
 	if len(eps) != 2 || eps[0].spec.Protocol != "s:0.1" || eps[1].spec.Protocol != "s:0.2" {
 		t.Errorf("epsilon cells %+v", eps)
+	}
+
+	// graphs × rounds × epsilon with one duplicated rounds value: cells
+	// come out graph-major, epsilon fastest, the duplicate's cells
+	// dropped, each with its params, canonical spec and key.
+	grid, _, err := SweepSpec{
+		Base: JobSpec{Run: "good", Trials: 500, Seed: 3},
+		Axes: SweepAxes{Graphs: []string{"pair", " Ring:4"}, Rounds: []int{4, 6, 4}, Epsilon: []float64{0.1, 0.25}},
+	}.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []*sweepCell
+	for _, g := range []string{"pair", "ring:4"} {
+		for _, r := range []int{4, 6} {
+			for _, e := range []string{"0.1", "0.25"} {
+				canon, err := JobSpec{Protocol: "s:" + e, Graph: g, Rounds: r, Run: "good", Trials: 500, Seed: 3}.Canonicalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				params := map[string]string{"graph": g, "rounds": strconv.Itoa(r), "epsilon": e}
+				want = append(want, &sweepCell{params: params, spec: canon, key: canon.Key()})
+			}
+		}
+	}
+	if len(grid) != len(want) {
+		t.Fatalf("grid expanded to %d cells, want %d", len(grid), len(want))
+	}
+	for i, c := range grid {
+		if !reflect.DeepEqual(c.params, want[i].params) || !reflect.DeepEqual(c.spec, want[i].spec) || c.key != want[i].key {
+			t.Errorf("cell %d = %v %+v %s\nwant %v %+v %s", i, c.params, c.spec, c.key, want[i].params, want[i].spec, want[i].key)
+		}
+	}
+}
+
+// TestSweepOversizedAxisRefusedCheaply: a grid is sized from its axis
+// lengths before any cell is built, so refusing a 100,000-value axis
+// allocates next to nothing instead of rendering every value.
+func TestSweepOversizedAxisRefusedCheaply(t *testing.T) {
+	seeds := make([]uint64, 100_000)
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	ss := SweepSpec{Base: JobSpec{Protocol: "s:0.1"}, Axes: SweepAxes{Seeds: seeds}}
+	// The least of three runs, so an allocation by some other goroutine
+	// during one run does not count.
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ss.expand()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("a 100,000-cell sweep was accepted")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Fatalf("refusing the oversized sweep allocated %d bytes, want under 64 KiB", least)
 	}
 }
 
