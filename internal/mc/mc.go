@@ -25,6 +25,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"coordattack/internal/graph"
 	"coordattack/internal/protocol"
@@ -319,41 +320,88 @@ func (e *estimator) record(local *tally, outs []bool, m int) {
 	e.tick()
 }
 
-// trials is the worker loop: trials lo+w, lo+w+workers, ... < hi. Each
-// trial takes its run (the fixed one, or a sample drawn from the worker's
-// tape reseeded to runStream.Tape(trial, 0)), executes it, and books the
-// outcome or the failure.
+// trials is the worker loop: trials lo+w, lo+w+workers, ... < hi, with
+// the processor yielded at trial boundaries (see yieldAfter).
 func (e *estimator) trials(wk *worker, w, workers, lo, hi int) {
-	cfg := e.cfg
-	m := cfg.Graph.NumVertices()
+	y := yielder{start: time.Now(), read: 1}
 	for trial := lo + w; trial < hi; trial += workers {
 		if e.ctx.Err() != nil {
 			return
 		}
-		r := cfg.Run
-		if cfg.Sampler != nil {
-			e.runStream.Reseed(wk.tape, uint64(trial), 0)
-			var err error
-			if r, err = cfg.Sampler(uint64(trial), wk.tape); err != nil {
-				e.fail(&wk.local, trial, fmt.Errorf("mc: sampling run for trial %d: %w", trial, err))
-				continue
-			}
-		}
-		p := cfg.Protocol
-		if cfg.Mutator != nil {
-			var err error
-			if p, err = cfg.Mutator(uint64(trial), p); err != nil {
-				e.fail(&wk.local, trial, fmt.Errorf("mc: mutating protocol for trial %d: %w", trial, err))
-				continue
-			}
-		}
-		outs, err := e.execute(wk, p, r, uint64(trial))
-		if err != nil {
-			e.fail(&wk.local, trial, fmt.Errorf("mc: trial %d: %w", trial, err))
-			continue
-		}
-		e.record(&wk.local, outs, m)
+		e.trial(wk, trial)
+		y.trialDone()
 	}
+}
+
+// trial runs one trial: it takes its run (the fixed one, or a sample
+// drawn from the worker's tape reseeded to runStream.Tape(trial, 0)),
+// executes it, and books the outcome or the failure.
+func (e *estimator) trial(wk *worker, trial int) {
+	cfg := &e.cfg
+	r := cfg.Run
+	if cfg.Sampler != nil {
+		e.runStream.Reseed(wk.tape, uint64(trial), 0)
+		var err error
+		if r, err = cfg.Sampler(uint64(trial), wk.tape); err != nil {
+			e.fail(&wk.local, trial, fmt.Errorf("mc: sampling run for trial %d: %w", trial, err))
+			return
+		}
+	}
+	p := cfg.Protocol
+	if cfg.Mutator != nil {
+		var err error
+		if p, err = cfg.Mutator(uint64(trial), p); err != nil {
+			e.fail(&wk.local, trial, fmt.Errorf("mc: mutating protocol for trial %d: %w", trial, err))
+			return
+		}
+	}
+	outs, err := e.execute(wk, p, r, uint64(trial))
+	if err != nil {
+		e.fail(&wk.local, trial, fmt.Errorf("mc: trial %d: %w", trial, err))
+		return
+	}
+	e.record(&wk.local, outs, cfg.Graph.NumVertices())
+}
+
+// yieldAfter is how long a worker runs trials before it yields its
+// processor at the next trial boundary. The runtime preempts a goroutine
+// that never blocks only after about 10 ms, and a server's trial workers
+// can hold every processor, so without the yield its HTTP handlers,
+// journal appends and timers wait out that preemption behind them.
+// Yielding draws no tape bit and reorders no trial: results are
+// unchanged.
+const yieldAfter = 50 * time.Microsecond
+
+// yielder paces one worker's yields. It reads the clock only at every
+// read-th trial boundary of a slice, re-aiming read at each reading from
+// the slice's pace so far, so a loop of fast trials pays about one clock
+// reading per slice, and a trial longer than yieldAfter yields after
+// every trial.
+type yielder struct {
+	start time.Time // when the current slice began
+	ran   int       // trials finished in the current slice
+	read  int       // the value of ran at which to read the clock next
+}
+
+// trialDone counts one finished trial and yields once the slice has run
+// yieldAfter.
+func (y *yielder) trialDone() {
+	if y.ran++; y.ran < y.read {
+		return
+	}
+	el := time.Since(y.start)
+	if el < yieldAfter {
+		// Read again where the pace so far ends the slice, or after twice
+		// the trials when the clock has not moved yet.
+		y.read = 2 * y.ran
+		if el > 0 {
+			y.read = max(y.ran+1, int(time.Duration(y.ran)*yieldAfter/el))
+		}
+		return
+	}
+	runtime.Gosched()
+	y.read = max(1, int(time.Duration(y.ran)*yieldAfter/el))
+	y.start, y.ran = time.Now(), 0
 }
 
 // runRange executes trials [lo, hi) on the workers and folds their

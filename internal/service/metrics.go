@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"io"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -317,6 +318,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 		}
 		gauge("coordd_hints_degraded", "1 when a write error demoted the hint log to memory-only.", hintsDegraded)
 	}
+	writeSchedLatency(w)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -330,6 +332,49 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 	fmt.Fprintf(w, "coordd_job_duration_seconds_bucket{le=\"+Inf\"} %d\n", m.count)
 	fmt.Fprintf(w, "coordd_job_duration_seconds_sum %g\n", m.sum)
 	fmt.Fprintf(w, "coordd_job_duration_seconds_count %d\n", m.count)
+}
+
+// schedBounds are the bucket bounds of coordd_sched_latency_seconds, in
+// seconds.
+var schedBounds = []float64{
+	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1,
+}
+
+// writeSchedLatency renders the runtime's /sched/latencies:seconds
+// histogram, how long goroutines sat runnable before they ran since the
+// process started, as coordd_sched_latency_seconds. The runtime's finer
+// buckets are folded in at scrape time: each counts under the first
+// bound at or above its upper edge. The runtime keeps no sum, so _sum
+// is estimated from the bucket lower bounds.
+func writeSchedLatency(w io.Writer) {
+	sample := []rtmetrics.Sample{{Name: "/sched/latencies:seconds"}}
+	rtmetrics.Read(sample)
+	if sample[0].Value.Kind() != rtmetrics.KindFloat64Histogram {
+		return
+	}
+	h := sample[0].Value.Float64Histogram()
+	counts := make([]uint64, len(schedBounds))
+	var total uint64
+	var sum float64
+	for i, n := range h.Counts {
+		total += n
+		if lo := h.Buckets[i]; lo > 0 {
+			sum += lo * float64(n)
+		}
+		if b := sort.SearchFloat64s(schedBounds, h.Buckets[i+1]); b < len(schedBounds) {
+			counts[b] += n
+		}
+	}
+	fmt.Fprintf(w, "# HELP coordd_sched_latency_seconds Time goroutines sat runnable before they ran, process-wide (runtime/metrics /sched/latencies:seconds); _sum is estimated from bucket lower bounds.\n")
+	fmt.Fprintf(w, "# TYPE coordd_sched_latency_seconds histogram\n")
+	cum := uint64(0)
+	for b, ub := range schedBounds {
+		cum += counts[b]
+		fmt.Fprintf(w, "coordd_sched_latency_seconds_bucket{le=%q} %d\n", formatBound(ub), cum)
+	}
+	fmt.Fprintf(w, "coordd_sched_latency_seconds_bucket{le=\"+Inf\"} %d\n", total)
+	fmt.Fprintf(w, "coordd_sched_latency_seconds_sum %g\n", sum)
+	fmt.Fprintf(w, "coordd_sched_latency_seconds_count %d\n", total)
 }
 
 func formatBound(ub float64) string { return fmt.Sprintf("%g", ub) }

@@ -298,6 +298,10 @@ type Status struct {
 }
 
 func (j *Job) status() *Status {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	// The counters are read under mu: every settlement stores its final
+	// counts before it changes state, so a settled status carries them.
 	completed := int(j.completed.Load())
 	width := 1.0
 	if completed > 0 {
@@ -305,8 +309,6 @@ func (j *Job) status() *Status {
 			width = 2 * r
 		}
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return &Status{
 		ID:        j.id,
 		Key:       j.key,

@@ -57,8 +57,10 @@ type SweepAxes struct {
 // sweepCell is one grid point: the canonical job spec it expands to,
 // its content key, and the axis coordinates for presentation. Admission
 // sets job, or errMsg when a drain that began mid-admission refused the
-// cell, before the sweep is registered; the sweep drops job under
-// Sweep.mu once it settles.
+// cell, before the sweep is registered. row is the cell's table row,
+// kept under Sweep.mu from the first status that sees the cell settled,
+// so a settled cell's body is decoded once, not on every poll; the
+// sweep drops job and row under Sweep.mu once it settles.
 type sweepCell struct {
 	params map[string]string
 	spec   JobSpec
@@ -66,6 +68,7 @@ type sweepCell struct {
 
 	job    *Job
 	errMsg string
+	row    *SweepRow
 }
 
 // sweepAxis is one row of the axis table: the parameter name, how many
@@ -187,8 +190,8 @@ type Sweep struct {
 	key   string
 	cells []*sweepCell
 
-	// mu guards the cells' jobs, and final: the table frozen
-	// once every cell has settled, when the cells drop their jobs so a
+	// mu guards the cells' jobs and kept rows, and final: the table
+	// frozen once every cell has settled, when the cells drop both so a
 	// retained sweep holds no result bodies and outlives their eviction.
 	mu    sync.Mutex
 	final *SweepStatus
@@ -297,7 +300,7 @@ func (s *Server) awaitSweep(sw *Sweep) {
 	sw.mu.Lock()
 	sw.final = final
 	for _, c := range sw.cells {
-		c.job = nil
+		c.job, c.row = nil, nil
 	}
 	sw.mu.Unlock()
 	// The sweep settles, then the retention pass runs, so a just-settled
@@ -327,22 +330,7 @@ func (sw *Sweep) status() *SweepStatus {
 	}
 	settled := 0
 	for _, c := range sw.cells {
-		row := SweepRow{Params: c.params, Key: c.key, State: StateQueued}
-		if c.job != nil {
-			js := c.job.status()
-			row.JobID = js.ID
-			row.State = js.State
-			row.Cached = js.Cached
-			row.Coalesced = js.Coalesced
-			row.Completed = js.Progress.Completed
-			row.Error = js.Error
-			if js.State == StateDone {
-				fillRowFromBody(&row, js.Result)
-			}
-		} else if c.errMsg != "" {
-			row.State = StateCancelled
-			row.Error = c.errMsg
-		}
+		row := c.render()
 		if row.State.Terminal() {
 			settled++
 			switch row.State {
@@ -367,6 +355,35 @@ func (sw *Sweep) status() *SweepStatus {
 		st.State = StateDone
 	}
 	return st
+}
+
+// render returns the cell's table row: the kept one once the cell has
+// settled, else a fresh one, kept when it shows the cell settled. The
+// caller holds Sweep.mu.
+func (c *sweepCell) render() SweepRow {
+	if c.row != nil {
+		return *c.row
+	}
+	row := SweepRow{Params: c.params, Key: c.key, State: StateQueued}
+	if c.job != nil {
+		js := c.job.status()
+		row.JobID = js.ID
+		row.State = js.State
+		row.Cached = js.Cached
+		row.Coalesced = js.Coalesced
+		row.Completed = js.Progress.Completed
+		row.Error = js.Error
+		if js.State == StateDone {
+			fillRowFromBody(&row, js.Result)
+		}
+	} else if c.errMsg != "" {
+		row.State = StateCancelled
+		row.Error = c.errMsg
+	}
+	if row.State.Terminal() {
+		c.row = &row
+	}
+	return row
 }
 
 // fillRowFromBody unpacks a done mc body's intervals into the row. A

@@ -412,3 +412,57 @@ func TestSweepRetentionEvictsSettled(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepStatusRendersSettledRowsOnce polls a sweep that is still
+// running (its table not yet frozen) but whose cells have all settled.
+// The first status renders every row from its job, decoding each done
+// body; later polls reuse the kept rows, serve identical JSON, and
+// allocate only the status and its table.
+func TestSweepStatusRendersSettledRowsOnce(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer drain(t, s)
+	cells, key, err := SweepSpec{
+		Base: JobSpec{Protocol: "s:0.3", Trials: 500, Seed: 4},
+		Axes: SweepAxes{Rounds: []int{4, 6, 8}, FaultRate: []float64{0, 0.5}, Seeds: []uint64{1, 2}},
+	}.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells[1:] {
+		st, err := s.Submit(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin := waitState(t, s, st.ID, 10*time.Second); fin.State != StateDone {
+			t.Fatalf("cell job %s ended %s: %s", st.ID, fin.State, fin.Error)
+		}
+		if c.job, err = lookup(s, s.jobs, st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first cell was refused by a drain that began mid-admission.
+	cells[0].errMsg = ErrDraining.Error()
+	sw := &Sweep{entry: entry{id: "sw-rows", done: make(chan struct{})}, key: key, cells: cells}
+
+	first, err := json.Marshal(sw.status())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fst SweepStatus
+	if err := json.Unmarshal(first, &fst); err != nil {
+		t.Fatal(err)
+	}
+	if fst.Done != len(cells)-1 || fst.Cancelled != 1 || fst.Table[1].TA == nil || fst.Table[1].Completed != 500 {
+		t.Fatalf("first status %s", first)
+	}
+	again, err := json.Marshal(sw.status())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(first) {
+		t.Errorf("kept rows render\n%s\nwant\n%s", again, first)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { sw.status() }); allocs > 4 {
+		t.Errorf("status of %d settled cells allocates %v times, want at most 4", len(cells), allocs)
+	}
+}
