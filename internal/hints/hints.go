@@ -15,8 +15,9 @@
 // The bytes on disk are internal/wal's, shared with the pending-queue
 // journal: checksummed `coordd-hints/v1` record lines in sequence-
 // numbered segments, torn-tail-tolerant replay, compaction, and
-// degrade-to-memory-only on any write error. This file holds only what
-// the records mean: per-peer dedup and oldest-first shedding.
+// degrade-to-memory-only on any write error, and the live set of pending
+// hints in queue order. This file holds only what the records mean:
+// per-peer dedup and counts, and oldest-first shedding.
 package hints
 
 import (
@@ -87,13 +88,6 @@ type Stats struct {
 	Degraded bool `json:"degraded"`
 }
 
-// hint is one pending entry with its byte-accounting weight.
-type hint struct {
-	peer, key string
-	at        int64
-	size      int64 // encoded add-line length, the MaxBytes unit
-}
-
 // Log is the hinted-handoff queue. Safe for concurrent use; every
 // append is fsynced before it returns. A Log opened with an empty dir
 // is memory-only: same API, no durability.
@@ -101,10 +95,8 @@ type Log struct {
 	logf func(format string, args ...any)
 
 	mu       sync.Mutex
-	wal      *wal.Log[Record]
-	pending  map[string]map[string]*hint // peer → key → hint
-	order    []*hint                     // global queue order, oldest first
-	bytes    int64                       // encoded size of the pending set
+	wal      *wal.Log[Record] // its live set is the pending hints, oldest first
+	peers    map[string]int   // peer → pending hint count
 	maxBytes int64
 
 	adds, delivered, dropped int64
@@ -115,88 +107,38 @@ type Log struct {
 // and compacts them into a fresh one. An empty dir yields a memory-only
 // log that never touches the filesystem.
 func Open(dir string, opts Options) (*Log, error) {
-	l := &Log{
-		logf:     opts.Logf,
-		pending:  make(map[string]map[string]*hint),
-		maxBytes: opts.MaxBytes,
-	}
-	w, err := wal.Open(dir, wal.Options[Record]{
-		Version:  logVersion,
-		Name:     "hints: log",
-		FS:       opts.FS,
-		Logf:     opts.Logf,
-		Apply:    l.apply,
-		Snapshot: l.snapshot,
+	w, err := wal.Open[Record](dir, wal.Options{
+		Version: logVersion,
+		Name:    "hints: log",
+		FS:      opts.FS,
+		Logf:    opts.Logf,
 	})
 	if err != nil {
 		return nil, err
 	}
-	l.wal, l.replayed = w, len(l.order)
+	l := &Log{
+		logf:     opts.Logf,
+		wal:      w,
+		peers:    make(map[string]int),
+		maxBytes: opts.MaxBytes,
+		replayed: w.Len(),
+	}
+	w.Live(func(rec Record) bool {
+		l.peers[rec.Peer]++
+		return true
+	})
 	return l, nil
 }
 
-// apply replays one record into the pending set.
-func (l *Log) apply(rec Record) error {
+// Entry names the (peer, key) pair a record queues or clears.
+func (r Record) Entry() (string, bool, error) {
 	switch {
-	case rec.Peer == "" || rec.Key == "":
-		return fmt.Errorf("record without a peer or key")
-	case rec.Op == OpAdd:
-		l.insertLocked(rec.Peer, rec.Key, rec.At)
-	case rec.Op == OpDone:
-		l.removeLocked(rec.Peer, rec.Key)
-	default:
-		return fmt.Errorf("invalid record op %q", rec.Op)
+	case r.Peer == "" || r.Key == "":
+		return "", false, fmt.Errorf("record without a peer or key")
+	case r.Op != OpAdd && r.Op != OpDone:
+		return "", false, fmt.Errorf("invalid record op %q", r.Op)
 	}
-	return nil
-}
-
-// snapshot lists the pending hints, oldest first, as the add records a
-// compaction rewrites.
-func (l *Log) snapshot() []Record {
-	out := make([]Record, len(l.order))
-	for i, h := range l.order {
-		out[i] = Record{Op: OpAdd, Peer: h.peer, Key: h.key, At: h.at}
-	}
-	return out
-}
-
-// insertLocked adds (peer, key) to the pending set if absent. Returns
-// the hint and whether it was freshly inserted.
-func (l *Log) insertLocked(peer, key string, at int64) (*hint, bool) {
-	byKey := l.pending[peer]
-	if byKey == nil {
-		byKey = make(map[string]*hint)
-		l.pending[peer] = byKey
-	}
-	if h, ok := byKey[key]; ok {
-		return h, false
-	}
-	h := &hint{peer: peer, key: key, at: at, size: addLineSize(peer, key, at)}
-	byKey[key] = h
-	l.order = append(l.order, h)
-	l.bytes += h.size
-	return h, true
-}
-
-// removeLocked drops (peer, key) from the pending set if present.
-func (l *Log) removeLocked(peer, key string) bool {
-	byKey := l.pending[peer]
-	h, ok := byKey[key]
-	if !ok {
-		return false
-	}
-	delete(byKey, key)
-	if len(byKey) == 0 {
-		delete(l.pending, peer)
-	}
-	for i, o := range l.order {
-		if o == h {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
-	l.bytes -= h.size
-	return true
+	return r.Peer + "\x00" + r.Key, r.Op == OpAdd, nil
 }
 
 // Add queues one hint: peer is owed key's body. Re-adding an already
@@ -205,29 +147,45 @@ func (l *Log) removeLocked(peer, key string) bool {
 // pending hints are shed (tombstoned and counted as dropped) until the
 // new hint fits; the newest hint is always kept.
 func (l *Log) Add(peer, key string) error {
-	now := time.Now().UnixNano()
+	rec := Record{Op: OpAdd, Peer: peer, Key: key, At: time.Now().UnixNano()}
+	pair, _, err := rec.Entry()
+	if err != nil {
+		return fmt.Errorf("hints: %w", err)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	h, fresh := l.insertLocked(peer, key, now)
-	if !fresh {
+	if _, ok := l.wal.Get(pair); ok {
 		return nil
 	}
 	l.adds++
-	err := l.wal.Append(Record{Op: OpAdd, Peer: peer, Key: key, At: h.at})
-	// Shed oldest-first past the cap. Shedding appends tombstones (so a
-	// replayed log agrees), but never sheds the hint just added: losing
-	// the newest to make room for the oldest would invert the queue.
-	for l.maxBytes > 0 && l.bytes > l.maxBytes && len(l.order) > 1 {
-		oldest := l.order[0]
-		if oldest == h {
-			break
-		}
-		l.removeLocked(oldest.peer, oldest.key)
-		l.dropped++
+	l.peers[peer]++
+	err = l.wal.Put(rec)
+	// Shed oldest-first past the cap, metered in encoded add-line bytes.
+	// Shedding appends tombstones (so a replayed log agrees), but never
+	// sheds the hint just added, the newest: losing it to make room for
+	// the oldest would invert the queue.
+	for l.maxBytes > 0 && l.wal.Bytes() > l.maxBytes && l.wal.Len() > 1 {
+		var oldest Record
+		l.wal.Live(func(rec Record) bool {
+			oldest = rec
+			return false
+		})
+		_ = l.drop(oldest.Peer, oldest.Key, &l.dropped)
 		if l.logf != nil {
-			l.logf("hints: shed oldest hint (%s ← %.8s) over the %d-byte cap", oldest.peer, oldest.key, l.maxBytes)
+			l.logf("hints: shed oldest hint (%s ← %.8s) over the %d-byte cap", oldest.Peer, oldest.Key, l.maxBytes)
 		}
-		_ = l.wal.Tombstone(Record{Op: OpDone, Peer: oldest.peer, Key: oldest.key})
+	}
+	return err
+}
+
+// drop tombstones (peer, key) if it is pending, counting it in n.
+func (l *Log) drop(peer, key string, n *int64) error {
+	dropped, err := l.wal.Drop(Record{Op: OpDone, Peer: peer, Key: key})
+	if dropped {
+		*n++
+		if l.peers[peer]--; l.peers[peer] == 0 {
+			delete(l.peers, peer)
+		}
 	}
 	return err
 }
@@ -238,27 +196,21 @@ func (l *Log) Add(peer, key string) error {
 func (l *Log) Delivered(peer, key string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.removeLocked(peer, key) {
-		return nil
-	}
-	l.delivered++
-	return l.wal.Tombstone(Record{Op: OpDone, Peer: peer, Key: key})
+	return l.drop(peer, key, &l.delivered)
 }
 
 // Pending returns peer's queued keys, oldest first.
 func (l *Log) Pending(peer string) []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	byKey := l.pending[peer]
-	if len(byKey) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(byKey))
-	for _, h := range l.order {
-		if h.peer == peer {
-			out = append(out, h.key)
+	var out []string
+	n := l.peers[peer]
+	l.wal.Live(func(rec Record) bool {
+		if rec.Peer == peer {
+			out = append(out, rec.Key)
 		}
-	}
+		return len(out) < n
+	})
 	return out
 }
 
@@ -266,15 +218,15 @@ func (l *Log) Pending(peer string) []string {
 func (l *Log) PendingFor(peer string) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.pending[peer])
+	return l.peers[peer]
 }
 
 // Peers returns the peers with pending hints, sorted.
 func (l *Log) Peers() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.pending))
-	for peer := range l.pending {
+	out := make([]string, 0, len(l.peers))
+	for peer := range l.peers {
 		out = append(out, peer)
 	}
 	sort.Strings(out)
@@ -286,8 +238,8 @@ func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return Stats{
-		Pending:   len(l.order),
-		Peers:     len(l.pending),
+		Pending:   l.wal.Len(),
+		Peers:     len(l.peers),
 		Adds:      l.adds,
 		Delivered: l.delivered,
 		Dropped:   l.dropped,
@@ -299,9 +251,7 @@ func (l *Log) Stats() Stats {
 
 // Degraded reports whether a write error demoted the log.
 func (l *Log) Degraded() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.wal.Degraded()
+	return l.Stats().Degraded
 }
 
 // Close closes the active segment handle. Hints already appended stay
@@ -311,10 +261,4 @@ func (l *Log) Close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.wal.Close()
-}
-
-// addLineSize is the encoded add-line length of one hint — the unit the
-// MaxBytes cap meters.
-func addLineSize(peer, key string, at int64) int64 {
-	return wal.LineSize(logVersion, Record{Op: OpAdd, Peer: peer, Key: key, At: at})
 }

@@ -23,6 +23,14 @@ func key(i int) string {
 	return fmt.Sprintf("%064x", i)
 }
 
+// addLineSize is the encoded add-line length of one hint, the unit the
+// MaxBytes cap meters, as a memory-only wal.Log meters it.
+func addLineSize(peer, key string, at int64) int64 {
+	w, _ := wal.Open[Record]("", wal.Options{Version: logVersion})
+	_ = w.Put(Record{Op: OpAdd, Peer: peer, Key: key, At: at})
+	return w.Bytes()
+}
+
 func mustOpen(t *testing.T, dir string, opts Options) *Log {
 	t.Helper()
 	l, err := Open(dir, opts)

@@ -3,6 +3,7 @@ package queue
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,9 +16,9 @@ import (
 // leaves the daemon, and a tombstone is appended when the job settles.
 // On open the log is replayed — accepts minus settles is the pending
 // set a restarted daemon re-admits — and compacted down to the still-
-// pending accepts. The bytes on disk, replay, compaction and the
-// degrade-to-memory discipline belong to internal/wal; this file holds
-// only what the records mean.
+// pending accepts. The bytes on disk, the pending set itself (the log's
+// live set), replay, compaction and the degrade-to-memory discipline
+// belong to internal/wal; this file holds only what the records mean.
 //
 // Like the store, the journal degrades instead of failing its caller: a
 // write-path error demotes it to memory-only (logged once, visible in
@@ -81,11 +82,9 @@ type JournalStats struct {
 // Journal is the durable pending queue. Safe for concurrent use; every
 // append is fsynced before it returns.
 type Journal struct {
-	mu      sync.Mutex
-	wal     *wal.Log[Record]
-	pending map[string]*Record
-	order   []string // pending keys in accept order
-	replay  []Record // snapshot of pending taken at open
+	mu     sync.Mutex
+	wal    *wal.Log[Record] // its live set is the pending set, in admission order
+	replay []Record         // the pending set recovered at open; read-only
 
 	accepts, settles int64
 }
@@ -97,82 +96,41 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("queue: empty journal directory")
 	}
-	j := &Journal{pending: make(map[string]*Record)}
-	w, err := wal.Open(dir, wal.Options[Record]{
-		Version:  journalVersion,
-		Name:     "queue: journal",
-		FS:       opts.FS,
-		Logf:     opts.Logf,
-		Apply:    j.apply,
-		Snapshot: j.snapshot,
+	w, err := wal.Open[Record](dir, wal.Options{
+		Version: journalVersion,
+		Name:    "queue: journal",
+		FS:      opts.FS,
+		Logf:    opts.Logf,
 	})
 	if err != nil {
 		return nil, err
 	}
-	j.wal, j.replay = w, j.snapshot()
+	j := &Journal{wal: w, replay: make([]Record, 0, w.Len())}
+	w.Live(func(rec Record) bool {
+		j.replay = append(j.replay, rec)
+		return true
+	})
 	return j, nil
 }
 
-// apply replays one record into the pending set. An intent is still
-// pending — only the commit-driven settle tombstone clears it — and
-// replay surfaces the recorded thief so the service can poll it before
-// re-running locally.
-func (j *Journal) apply(rec Record) error {
+// Entry names the key a record makes pending or settles. An intent is
+// still pending — only the commit-driven settle tombstone clears it —
+// and replay surfaces the recorded thief so the service can poll it
+// before re-running locally.
+func (r Record) Entry() (string, bool, error) {
 	switch {
-	case rec.Key == "":
-		return fmt.Errorf("record without a key")
-	case rec.Op == OpAccept || rec.Op == OpIntent:
-		j.put(rec)
-	case rec.Op == OpSettle:
-		j.drop(rec.Key)
-	default:
-		return fmt.Errorf("invalid record op %q", rec.Op)
+	case r.Key == "":
+		return "", false, fmt.Errorf("record without a key")
+	case r.Op != OpAccept && r.Op != OpIntent && r.Op != OpSettle:
+		return "", false, fmt.Errorf("invalid record op %q", r.Op)
 	}
-	return nil
-}
-
-// snapshot lists the pending records in admission order: what a
-// compaction rewrites.
-func (j *Journal) snapshot() []Record {
-	out := make([]Record, len(j.order))
-	for i, key := range j.order {
-		out[i] = *j.pending[key]
-	}
-	return out
-}
-
-// put makes rec the pending record for its key, keeping the key's
-// admission position if it already has one.
-func (j *Journal) put(rec Record) {
-	if _, ok := j.pending[rec.Key]; !ok {
-		j.order = append(j.order, rec.Key)
-	}
-	j.pending[rec.Key] = &rec
-}
-
-// drop removes key from the pending set, reporting whether it was there.
-func (j *Journal) drop(key string) bool {
-	if _, ok := j.pending[key]; !ok {
-		return false
-	}
-	delete(j.pending, key)
-	for i, k := range j.order {
-		if k == key {
-			j.order = append(j.order[:i], j.order[i+1:]...)
-			break
-		}
-	}
-	return true
+	return r.Key, r.Op != OpSettle, nil
 }
 
 // Pending returns the accept records recovered at open, in admission
 // order — what the service re-admits on restart.
 func (j *Journal) Pending() []Record {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]Record, len(j.replay))
-	copy(out, j.replay)
-	return out
+	return slices.Clone(j.replay)
 }
 
 // Accept appends (and fsyncs) one accept record. A write error demotes
@@ -186,8 +144,7 @@ func (j *Journal) Accept(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.accepts++
-	j.put(rec)
-	return j.wal.Append(rec)
+	return j.wal.Put(rec)
 }
 
 // Intent re-stamps key's pending record with the thief's address and
@@ -198,14 +155,12 @@ func (j *Journal) Accept(rec Record) error {
 func (j *Journal) Intent(key, thief string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rec, ok := j.pending[key]
+	rec, ok := j.wal.Get(key)
 	if !ok {
 		return nil
 	}
-	r := *rec
-	r.Op, r.Thief = OpIntent, thief
-	j.put(r)
-	return j.wal.Append(r)
+	rec.Op, rec.Thief = OpIntent, thief
+	return j.wal.Put(rec)
 }
 
 // Settle appends a tombstone for key. Settling a key with no pending
@@ -213,18 +168,16 @@ func (j *Journal) Intent(key, thief string) error {
 func (j *Journal) Settle(key string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.drop(key) {
-		return nil
+	settled, err := j.wal.Drop(Record{Op: OpSettle, Key: key})
+	if settled {
+		j.settles++
 	}
-	j.settles++
-	return j.wal.Tombstone(Record{Op: OpSettle, Key: key})
+	return err
 }
 
 // Degraded reports whether a write error demoted the journal.
 func (j *Journal) Degraded() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.wal.Degraded()
+	return j.Stats().Degraded
 }
 
 // Stats snapshots the journal's counters.
@@ -232,7 +185,7 @@ func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return JournalStats{
-		Pending:     len(j.pending),
+		Pending:     j.wal.Len(),
 		Accepts:     j.accepts,
 		Settles:     j.settles,
 		Replayed:    len(j.replay),

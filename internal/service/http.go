@@ -115,15 +115,20 @@ func decode(w http.ResponseWriter, r *http.Request, kind string, spec any) bool 
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(spec); err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, code, apiError{Error: fmt.Sprintf("decoding %s spec: %v", kind, err)})
+		writeJSON(w, decodeStatus(err), apiError{Error: fmt.Sprintf("decoding %s spec: %v", kind, err)})
 		return false
 	}
 	return true
+}
+
+// decodeStatus is the status a body that failed to decode answers: 413
+// when it ran past its http.MaxBytesReader bound, 400 otherwise.
+func decodeStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // submitted answers a job or sweep submission: code with st when err is

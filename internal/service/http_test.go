@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"coordattack/internal/cluster"
 )
 
 func testHTTPServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -190,6 +192,30 @@ func TestHTTPBodyPastBoundIs413(t *testing.T) {
 	}
 	if n := s.Metrics().JobsSubmitted.Load(); n != 0 {
 		t.Fatalf("%d jobs submitted from an oversized body", n)
+	}
+}
+
+// TestPeerBodyPastBoundIs413: a steal request and a steal commit one
+// byte longer than maxPeerMsgBytes each answer 413 with the JSON error
+// body, though each is a valid message behind leading whitespace. Every
+// daemon serves these routes, standalone ones too.
+func TestPeerBodyPastBoundIs413(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer drain(t, s)
+	for path, msg := range map[string]string{
+		cluster.StealPath:       `{"want": 1, "thief": "http://127.0.0.1:9"}`,
+		cluster.StealCommitPath: `{"thief": "http://127.0.0.1:9", "keys": []}`,
+	} {
+		body := io.MultiReader(io.LimitReader(spaces{}, int64(maxPeerMsgBytes+1-len(msg))), strings.NewReader(msg))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s answered %d to a body one byte past the bound, want 413", path, rec.Code)
+		}
+		var e apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Errorf("%s: 413 body %q is not an API error (%v)", path, rec.Body.String(), err)
+		}
 	}
 }
 

@@ -39,6 +39,10 @@ import (
 // maxPeerBodyBytes bounds a replicated result body accepted over PUT.
 const maxPeerBodyBytes = 32 << 20
 
+// maxPeerMsgBytes bounds a steal request or steal commit body. A commit
+// lists 64-hex-digit keys, so 1 MiB holds one of over ten thousand.
+const maxPeerMsgBytes = 1 << 20
+
 // validKey reports whether key looks like a coordd/v2 result key: 64
 // lowercase hex digits. Peer endpoints reject anything else before
 // touching the cache or disk.
@@ -100,8 +104,8 @@ func (s *Server) handlePeerPutResult(w http.ResponseWriter, r *http.Request) {
 // node to donate pending work.
 func (s *Server) handlePeerSteal(w http.ResponseWriter, r *http.Request) {
 	var req cluster.StealRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Want < 1 {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad steal request"})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPeerMsgBytes)).Decode(&req); err != nil || req.Want < 1 {
+		writeJSON(w, decodeStatus(err), apiError{Error: "bad steal request"})
 		return
 	}
 	writeJSON(w, http.StatusOK, cluster.StealResponse{Jobs: s.stealVictim(req.Want, req.Thief)})
@@ -116,8 +120,8 @@ func (s *Server) handlePeerSteal(w http.ResponseWriter, r *http.Request) {
 // re-run, and content-addressed results make the overlap harmless.
 func (s *Server) handlePeerStealCommit(w http.ResponseWriter, r *http.Request) {
 	var req cluster.CommitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Thief == "" {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad steal commit"})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPeerMsgBytes)).Decode(&req); err != nil || req.Thief == "" {
+		writeJSON(w, decodeStatus(err), apiError{Error: "bad steal commit"})
 		return
 	}
 	for _, key := range req.Keys {

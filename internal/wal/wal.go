@@ -2,9 +2,9 @@
 // the pending-queue journal (internal/queue) and the hinted-handoff log
 // (internal/hints). It owns everything about the bytes on disk — the
 // line codec, segment files, replay, compaction, and degradation — and
-// knows nothing about what a record means: the caller supplies an apply
-// callback that folds one replayed record into its state, and a
-// snapshot callback that lists the live records a compaction rewrites.
+// the live set those bytes describe: the last live record of each key,
+// in the order the keys became live. What a record means stays with its
+// type, which names through Entry the key its line sets or ends.
 //
 // Line format, one JSON record per line:
 //
@@ -24,7 +24,7 @@
 // line per Write and syncs once.
 //
 // On open the segments are replayed in order and compacted into one
-// fresh segment holding only the snapshot, so the log never grows across
+// fresh segment holding only the live set, so the log never grows across
 // restarts; stray temp files from a crash mid-compaction are swept. A
 // live compaction runs after every 1024 tombstones, bounding a
 // long-lived log by its backlog, not its history.
@@ -32,10 +32,11 @@
 // The log degrades instead of failing its caller: the first write error
 // demotes it to memory-only (logged once), and a demoted or closed log
 // makes no further filesystem call until it is reopened. A log opened
-// with an empty dir is memory-only from the start.
+// with an empty dir is memory-only from the start. The live set keeps
+// every Put and Drop whether or not the line reached the disk.
 //
 // A Log is not safe for concurrent use; callers serialize under their
-// own mutex, which also guards the state the callbacks read.
+// own mutex.
 package wal
 
 import (
@@ -56,8 +57,15 @@ import (
 // CompactEvery is the tombstone count that triggers a live compaction.
 const CompactEvery = 1024
 
+// Record is a log line's record. Entry names the key the line sets
+// (live) or ends (a tombstone); an error marks the record invalid, and
+// replay drops it like a torn line.
+type Record interface {
+	Entry() (key string, live bool, err error)
+}
+
 // Options configures Open.
-type Options[R any] struct {
+type Options struct {
 	// Version prefixes every line, e.g. "coordd-queue/v1".
 	Version string
 	// Name labels log lines and errors, e.g. "queue: journal".
@@ -67,40 +75,46 @@ type Options[R any] struct {
 	// Logf receives one line per degradation and dropped record; nil
 	// discards them.
 	Logf func(format string, args ...any)
-	// Apply folds one replayed record into the caller's state; an error
-	// marks the record invalid, and it is dropped like a torn line.
-	Apply func(R) error
-	// Snapshot returns the live records, in order, that a compaction
-	// rewrites into a fresh segment.
-	Snapshot func() []R
 }
 
-// Log is one directory of segments holding records of type R.
-type Log[R any] struct {
+// entry is one live record, linked into the live set's order.
+type entry[R Record] struct {
+	rec        R
+	size       int64 // encoded line length, newline included
+	prev, next *entry[R]
+}
+
+// Log is one directory of segments holding records of type R, and the
+// live set they fold to.
+type Log[R Record] struct {
 	dir, version, name string
 	fs                 store.FS
 	logf               func(format string, args ...any)
-	snapshot           func() []R
+
+	live  map[string]*entry[R]
+	order entry[R] // sentinel of the circular list, oldest key first
+	bytes int64    // sum of the live records' sizes
 
 	active     store.File // append target; nil once memory-only, demoted, or closed
 	seq        uint64     // sequence number of the active segment
 	tombstones int        // since the last compaction
 	every      int        // tombstones per live compaction; tests lower it
-	degraded   bool
 
 	truncated, compactions int64
 }
 
-// Open replays dir's segments through o.Apply, then compacts them into
-// one fresh segment. A failed compaction degrades the log at birth —
-// the replay already succeeded — rather than failing the open. An empty
-// dir yields a memory-only log that never touches the filesystem.
-func Open[R any](dir string, o Options[R]) (*Log[R], error) {
+// Open replays dir's segments into the live set, then compacts them into
+// one fresh segment. A failed compaction degrades the log at birth — the
+// replay already succeeded — rather than failing the open. An empty dir
+// yields a memory-only log that never touches the filesystem.
+func Open[R Record](dir string, o Options) (*Log[R], error) {
 	l := &Log[R]{
 		dir: dir, version: o.Version, name: o.Name,
-		fs: o.FS, logf: o.Logf, snapshot: o.Snapshot,
+		fs: o.FS, logf: o.Logf,
+		live:  make(map[string]*entry[R]),
 		every: CompactEvery,
 	}
+	l.order.prev, l.order.next = &l.order, &l.order
 	if dir == "" {
 		return l, nil
 	}
@@ -110,7 +124,7 @@ func Open[R any](dir string, o Options[R]) (*Log[R], error) {
 	if err := l.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("%s: %w", l.name, err)
 	}
-	segs, err := l.replay(o.Apply)
+	segs, err := l.replay()
 	if err != nil {
 		return nil, err
 	}
@@ -122,9 +136,10 @@ func Open[R any](dir string, o Options[R]) (*Log[R], error) {
 	return l, nil
 }
 
-// replay applies every segment in sequence order, sweeping stray temp
-// files, and returns the segment names it consumed.
-func (l *Log[R]) replay(apply func(R) error) ([]string, error) {
+// replay folds every segment, in sequence order, into the live set,
+// sweeping stray temp files, and returns the segment names it consumed.
+// A line is metered as its length plus the newline, as Put meters it.
+func (l *Log[R]) replay() ([]string, error) {
 	entries, err := l.fs.ReadDir(l.dir)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", l.name, err)
@@ -156,7 +171,7 @@ func (l *Log[R]) replay(apply func(R) error) ([]string, error) {
 			}
 			rec, err := decodeLine[R](l.version, line)
 			if err == nil {
-				err = apply(rec)
+				_, _, err = l.fold(rec, int64(len(line)+1))
 			}
 			if err != nil {
 				l.truncated++
@@ -183,31 +198,70 @@ func (l *Log[R]) segment(seq uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("%08d.wal", seq))
 }
 
-// Append writes one record line to the active segment and fsyncs it. A
-// write error demotes the log and is returned for logging; callers treat
-// it as advisory — their in-memory state already holds the record.
-func (l *Log[R]) Append(rec R) error {
-	if l.active == nil {
-		return nil
-	}
-	line, err := encodeLine(l.version, rec)
+// fold applies rec to the live set: a live record becomes its key's
+// record, keeping the key's place if it has one, and a tombstone ends
+// its key in O(1). It reports whether rec is live and whether the set
+// changed.
+func (l *Log[R]) fold(rec R, size int64) (live, changed bool, err error) {
+	key, live, err := rec.Entry()
 	if err != nil {
-		return l.demote(err)
+		return false, false, err
 	}
-	if _, err := l.active.Write(line); err != nil {
-		return l.demote(err)
+	e := l.live[key]
+	switch {
+	case live && e == nil:
+		e = &entry[R]{prev: l.order.prev, next: &l.order}
+		e.prev.next, l.order.prev = e, e
+		l.live[key] = e
+		fallthrough
+	case live:
+		l.bytes += size - e.size
+		e.rec, e.size = rec, size
+	case e != nil:
+		delete(l.live, key)
+		e.prev.next, e.next.prev = e.next, e.prev
+		l.bytes -= e.size
 	}
-	if err := l.active.Sync(); err != nil {
-		return l.demote(err)
-	}
-	return nil
+	return live, live || e != nil, nil
 }
 
-// Tombstone appends rec like Append and counts it toward the next live
-// compaction, which runs once enough tombstones have accumulated.
-func (l *Log[R]) Tombstone(rec R) error {
-	if err := l.Append(rec); err != nil || l.active == nil {
-		return err
+// Put makes rec, a live record, its key's record — a key already live
+// keeps its place in the order — and appends rec's line. A write error
+// demotes the log and is returned for logging; callers treat it as
+// advisory, as the live set already holds rec.
+func (l *Log[R]) Put(rec R) error {
+	_, err := l.append(rec)
+	return err
+}
+
+// Drop ends the live record of tomb's key and appends tomb, a tombstone,
+// reporting whether the key was live; a key that is not live writes
+// nothing. Drops count toward the next live compaction.
+func (l *Log[R]) Drop(tomb R) (bool, error) { return l.append(tomb) }
+
+// append folds rec into the live set and, when that changed it, writes
+// rec's line to the active segment: one Write of the whole line, then
+// one Sync. An encoding or write error demotes the log.
+func (l *Log[R]) append(rec R) (bool, error) {
+	line, err := encodeLine(l.version, rec)
+	live, changed, invalid := l.fold(rec, int64(len(line)))
+	switch {
+	case invalid != nil:
+		return false, fmt.Errorf("%s: %w", l.name, invalid)
+	case !changed || l.active == nil:
+		return changed, nil
+	}
+	if err == nil {
+		_, err = l.active.Write(line)
+	}
+	if err == nil {
+		err = l.active.Sync()
+	}
+	if err != nil {
+		return true, l.demote(err)
+	}
+	if live {
+		return true, nil
 	}
 	if l.tombstones++; l.tombstones >= l.every {
 		old := l.segment(l.seq)
@@ -215,10 +269,36 @@ func (l *Log[R]) Tombstone(rec R) error {
 			_ = l.fs.Remove(old)
 		}
 	}
-	return nil
+	return true, nil
 }
 
-// compact writes the snapshot into a fresh segment — temp file, fsync,
+// Get returns key's live record.
+func (l *Log[R]) Get(key string) (R, bool) {
+	if e := l.live[key]; e != nil {
+		return e.rec, true
+	}
+	var zero R
+	return zero, false
+}
+
+// Live calls yield with each live record, oldest key first, until yield
+// returns false. yield must not modify the log.
+func (l *Log[R]) Live(yield func(R) bool) {
+	for e := l.order.next; e != &l.order; e = e.next {
+		if !yield(e.rec) {
+			return
+		}
+	}
+}
+
+// Len is the number of live records.
+func (l *Log[R]) Len() int { return len(l.live) }
+
+// Bytes is the live set's encoded size: the sum of its records' line
+// lengths, newlines included.
+func (l *Log[R]) Bytes() int64 { return l.bytes }
+
+// compact writes the live set into a fresh segment — temp file, fsync,
 // rename, dir fsync — and makes it the append target. The open handle
 // follows the rename, so appends land in the new segment. The caller
 // removes the superseded segments on success.
@@ -228,7 +308,7 @@ func (l *Log[R]) compact() error {
 		return l.demote(err)
 	}
 	next := l.seq + 1
-	if err := l.writeSnapshot(tmp); err == nil {
+	if err := l.writeLive(tmp); err == nil {
 		err = l.fs.Rename(tmp.Name(), l.segment(next))
 	}
 	if err != nil {
@@ -248,9 +328,9 @@ func (l *Log[R]) compact() error {
 	return nil
 }
 
-func (l *Log[R]) writeSnapshot(f store.File) error {
-	for _, rec := range l.snapshot() {
-		line, err := encodeLine(l.version, rec)
+func (l *Log[R]) writeLive(f store.File) error {
+	for e := l.order.next; e != &l.order; e = e.next {
+		line, err := encodeLine(l.version, e.rec)
 		if err != nil {
 			return err
 		}
@@ -264,11 +344,7 @@ func (l *Log[R]) writeSnapshot(f store.File) error {
 // demote flips the log to memory-only and logs why. It runs at most
 // once: without an active segment the log never writes again.
 func (l *Log[R]) demote(cause error) error {
-	if l.active != nil {
-		l.active.Close()
-		l.active = nil
-	}
-	l.degraded = true
+	l.Close()
 	if l.logf != nil {
 		l.logf("%s degraded to memory-only: %v (appends lose crash durability until restart)", l.name, cause)
 	}
@@ -276,30 +352,24 @@ func (l *Log[R]) demote(cause error) error {
 }
 
 // Close releases the active segment. Records already appended stay
-// durable; a closed log, like a demoted one, absorbs further appends in
+// durable; a closed log, like a demoted one, keeps its live set in
 // memory and reports itself degraded.
 func (l *Log[R]) Close() {
 	if l.active != nil {
 		l.active.Close()
 		l.active = nil
-		l.degraded = true
 	}
 }
 
-// Degraded reports whether a write error (or Close) demoted the log.
-func (l *Log[R]) Degraded() bool { return l.degraded }
+// Degraded reports whether a write error (or Close) demoted the log: it
+// has a directory but no segment to append to.
+func (l *Log[R]) Degraded() bool { return l.dir != "" && l.active == nil }
 
 // Truncated counts the lines replay dropped as undecodable or invalid.
 func (l *Log[R]) Truncated() int64 { return l.truncated }
 
 // Compactions counts the segment rewrites, at open and live.
 func (l *Log[R]) Compactions() int64 { return l.compactions }
-
-// LineSize is the encoded length of rec's line, newline included.
-func LineSize(version string, rec any) int64 {
-	line, _ := encodeLine(version, rec)
-	return int64(len(line))
-}
 
 // encodeLine renders one record line with its binding checksum.
 func encodeLine(version string, rec any) ([]byte, error) {

@@ -1,12 +1,13 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -16,53 +17,36 @@ import (
 const testVersion = "coordd-test/v1"
 
 // rec is the test record, shaped like the adapters' records: an op on a
-// key with an optional timestamp.
+// key with an optional timestamp. A put sets its key, a del ends it.
 type rec struct {
 	Op  string `json:"op"`
 	Key string `json:"key"`
 	At  int64  `json:"at,omitempty"`
 }
 
-// testLog is a minimal adapter journaled through a Log: puts minus
-// dels, in put order.
+func (r rec) Entry() (string, bool, error) {
+	if r.Op != "put" && r.Op != "del" {
+		return "", false, fmt.Errorf("invalid record op %q", r.Op)
+	}
+	return r.Key, r.Op == "put", nil
+}
+
+// testLog is a Log that keeps the lines it logs.
 type testLog struct {
 	*Log[rec]
-	keys   []string
 	logged []string
-}
-
-func (tl *testLog) apply(r rec) error {
-	switch r.Op {
-	case "put":
-		tl.keys = append(tl.keys, r.Key)
-	case "del":
-		tl.keys = slices.DeleteFunc(tl.keys, func(k string) bool { return k == r.Key })
-	default:
-		return fmt.Errorf("invalid record op %q", r.Op)
-	}
-	return nil
-}
-
-func (tl *testLog) live() []rec {
-	out := make([]rec, len(tl.keys))
-	for i, k := range tl.keys {
-		out[i] = rec{Op: "put", Key: k}
-	}
-	return out
 }
 
 func openLog(t *testing.T, dir string, fs store.FS) *testLog {
 	t.Helper()
 	tl := &testLog{}
-	l, err := Open(dir, Options[rec]{
+	l, err := Open[rec](dir, Options{
 		Version: testVersion,
 		Name:    "wal: test",
 		FS:      fs,
 		Logf: func(format string, args ...any) {
 			tl.logged = append(tl.logged, fmt.Sprintf(format, args...))
 		},
-		Apply:    tl.apply,
-		Snapshot: tl.live,
 	})
 	if err != nil {
 		t.Fatalf("Open(%q): %v", dir, err)
@@ -72,13 +56,22 @@ func openLog(t *testing.T, dir string, fs store.FS) *testLog {
 }
 
 func (tl *testLog) put(key string) error {
-	tl.keys = append(tl.keys, key)
-	return tl.Append(rec{Op: "put", Key: key})
+	return tl.Put(rec{Op: "put", Key: key})
 }
 
 func (tl *testLog) del(key string) error {
-	tl.keys = slices.DeleteFunc(tl.keys, func(k string) bool { return k == key })
-	return tl.Tombstone(rec{Op: "del", Key: key})
+	_, err := tl.Drop(rec{Op: "del", Key: key})
+	return err
+}
+
+// keys lists the live keys in order.
+func (tl *testLog) keys() []string {
+	var out []string
+	tl.Live(func(r rec) bool {
+		out = append(out, r.Key)
+		return true
+	})
+	return out
 }
 
 func (tl *testLog) mustPut(t *testing.T, keys ...string) {
@@ -100,11 +93,14 @@ func (tl *testLog) mustDel(t *testing.T, keys ...string) {
 }
 
 // countFS counts every filesystem call, file handles included, and
-// fails the mutating ones while fail is set.
+// fails the mutating ones while fail is set. With nosync set, a sync
+// succeeds without reaching the disk, for tests that reopen but never
+// crash.
 type countFS struct {
 	store.FS
-	calls int
-	fail  bool
+	calls  int
+	fail   bool
+	nosync bool
 }
 
 type countFile struct {
@@ -165,7 +161,7 @@ func (f *countFS) CreateTemp(dir, pattern string) (store.File, error) {
 }
 
 func (f *countFS) SyncDir(name string) error {
-	if err := f.call(true); err != nil {
+	if err := f.call(true); err != nil || f.nosync {
 		return err
 	}
 	return f.FS.SyncDir(name)
@@ -179,7 +175,7 @@ func (f *countFile) Write(p []byte) (int, error) {
 }
 
 func (f *countFile) Sync() error {
-	if err := f.fs.call(true); err != nil {
+	if err := f.fs.call(true); err != nil || f.fs.nosync {
 		return err
 	}
 	return f.File.Sync()
@@ -227,8 +223,8 @@ func TestReplayAfterReopen(t *testing.T) {
 
 	re := openLog(t, dir, nil)
 	defer re.Close()
-	if want := []string{"a", "c", "d"}; !reflect.DeepEqual(re.keys, want) {
-		t.Fatalf("replayed %v, want %v", re.keys, want)
+	if want := []string{"a", "c", "d"}; !reflect.DeepEqual(re.keys(), want) {
+		t.Fatalf("replayed %v, want %v", re.keys(), want)
 	}
 	if re.Degraded() || re.Truncated() != 0 {
 		t.Fatalf("degraded=%v truncated=%d after clean reopen", re.Degraded(), re.Truncated())
@@ -253,8 +249,8 @@ func TestCompactOnOpen(t *testing.T) {
 	if seg := onlySegment(t, dir); filepath.Base(seg) != "00000002.wal" || lines(t, seg) != 1 {
 		t.Fatalf("compacted segment %s has %d lines, want 00000002.wal with 1", seg, lines(t, seg))
 	}
-	if !reflect.DeepEqual(re.keys, []string{"k4"}) {
-		t.Fatalf("replayed %v, want [k4]", re.keys)
+	if !reflect.DeepEqual(re.keys(), []string{"k4"}) {
+		t.Fatalf("replayed %v, want [k4]", re.keys())
 	}
 	if re.Compactions() != 1 {
 		t.Fatalf("compactions = %d, want 1 (at open)", re.Compactions())
@@ -282,8 +278,8 @@ func TestLiveCompaction(t *testing.T) {
 	l.mustPut(t, "k8")
 	re := openLog(t, dir, nil)
 	defer re.Close()
-	if want := []string{"k6", "k7", "k8"}; !reflect.DeepEqual(re.keys, want) {
-		t.Fatalf("replayed %v, want %v", re.keys, want)
+	if want := []string{"k6", "k7", "k8"}; !reflect.DeepEqual(re.keys(), want) {
+		t.Fatalf("replayed %v, want %v", re.keys(), want)
 	}
 }
 
@@ -309,8 +305,8 @@ func TestTornTail(t *testing.T) {
 
 	re := openLog(t, dir, nil)
 	defer re.Close()
-	if !reflect.DeepEqual(re.keys, []string{"a", "b"}) || re.Truncated() != 1 {
-		t.Fatalf("replayed %v with %d truncated, want [a b] with 1", re.keys, re.Truncated())
+	if !reflect.DeepEqual(re.keys(), []string{"a", "b"}) || re.Truncated() != 1 {
+		t.Fatalf("replayed %v with %d truncated, want [a b] with 1", re.keys(), re.Truncated())
 	}
 	if len(re.logged) != 1 || !strings.Contains(re.logged[0], "dropped undecodable record") {
 		t.Fatalf("log lines = %q, want one dropped-record line", re.logged)
@@ -344,8 +340,8 @@ func TestSkipsBadMiddleLines(t *testing.T) {
 
 	re := openLog(t, dir, nil)
 	defer re.Close()
-	if !reflect.DeepEqual(re.keys, []string{"a", "c"}) || re.Truncated() != 3 {
-		t.Fatalf("replayed %v with %d truncated, want [a c] with 3", re.keys, re.Truncated())
+	if !reflect.DeepEqual(re.keys(), []string{"a", "c"}) || re.Truncated() != 3 {
+		t.Fatalf("replayed %v with %d truncated, want [a c] with 3", re.keys(), re.Truncated())
 	}
 }
 
@@ -370,8 +366,8 @@ func TestDegradeOnceLogOnce(t *testing.T) {
 	if len(l.logged) != 1 || !strings.Contains(l.logged[0], "degraded to memory-only") {
 		t.Fatalf("log lines = %q, want exactly one degradation line", l.logged)
 	}
-	if want := []string{"during", "after"}; !reflect.DeepEqual(l.keys, want) {
-		t.Fatalf("memory state = %v, want %v", l.keys, want)
+	if want := []string{"during", "after"}; !reflect.DeepEqual(l.keys(), want) {
+		t.Fatalf("memory state = %v, want %v", l.keys(), want)
 	}
 }
 
@@ -422,22 +418,31 @@ func TestMemoryOnly(t *testing.T) {
 	if fs.calls != 0 {
 		t.Fatalf("memory-only log made %d filesystem calls", fs.calls)
 	}
-	if l.Degraded() || !reflect.DeepEqual(l.keys, []string{"c"}) {
-		t.Fatalf("degraded=%v keys=%v, want healthy [c]", l.Degraded(), l.keys)
+	if l.Degraded() || !reflect.DeepEqual(l.keys(), []string{"c"}) {
+		t.Fatalf("degraded=%v keys=%v, want healthy [c]", l.Degraded(), l.keys())
 	}
 }
 
 // TestAppendIsOneWriteOneSync pins the FS call sequence chaos.FS and the
-// benchmark's traced FS rely on: each append is one Write of the whole
-// line followed by one Sync.
+// benchmark's traced FS rely on: each Put and each Drop is one Write of
+// the whole line followed by one Sync, and a Drop of a key that is not
+// live writes nothing.
 func TestAppendIsOneWriteOneSync(t *testing.T) {
 	fs := &countFS{FS: store.DiskFS()}
 	l := openLog(t, t.TempDir(), fs)
 	defer l.Close()
-	before := fs.calls
-	l.mustPut(t, "a")
-	if got := fs.calls - before; got != 2 {
-		t.Fatalf("one append made %d filesystem calls, want Write + Sync", got)
+	for _, step := range []struct {
+		op    func(string) error
+		key   string
+		calls int
+	}{{l.put, "a", 2}, {l.put, "a", 2}, {l.del, "a", 2}, {l.del, "a", 0}} {
+		before := fs.calls
+		if err := step.op(step.key); err != nil {
+			t.Fatal(err)
+		}
+		if got := fs.calls - before; got != step.calls {
+			t.Fatalf("step %+v made %d filesystem calls, want %d", step, got, step.calls)
+		}
 	}
 }
 
@@ -448,9 +453,6 @@ func TestLineRoundTrip(t *testing.T) {
 	line, err := encodeLine(testVersion, r)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := LineSize(testVersion, r); got != int64(len(line)) {
-		t.Fatalf("LineSize = %d, want %d", got, len(line))
 	}
 	body := line[:len(line)-1] // strip the newline
 	got, err := decodeLine[rec](testVersion, body)
@@ -467,9 +469,167 @@ func TestLineRoundTrip(t *testing.T) {
 	}
 }
 
+// liveModel is the live set folded the plain way: a map of each key's
+// last live record and its line size, and a slice of the live keys in
+// the order they became live.
+type liveModel struct {
+	recs  map[string]rec
+	sizes map[string]int64
+	order []string
+}
+
+func newModel() *liveModel {
+	return &liveModel{recs: map[string]rec{}, sizes: map[string]int64{}}
+}
+
+func (m *liveModel) clone() *liveModel {
+	c := newModel()
+	for k, r := range m.recs {
+		c.recs[k], c.sizes[k] = r, m.sizes[k]
+	}
+	c.order = append([]string(nil), m.order...)
+	return c
+}
+
+func (m *liveModel) apply(r rec, size int64) {
+	key, live, _ := r.Entry()
+	_, was := m.recs[key]
+	switch {
+	case live && !was:
+		m.order = append(m.order, key)
+		fallthrough
+	case live:
+		m.recs[key], m.sizes[key] = r, size
+	case was:
+		delete(m.recs, key)
+		delete(m.sizes, key)
+		for i, k := range m.order {
+			if k == key {
+				m.order = append(m.order[:i], m.order[i+1:]...)
+				break
+			}
+		}
+	}
+}
+
+// check fails t unless l's live set is the model's: order, records, Len
+// and the metered byte size.
+func (m *liveModel) check(t *testing.T, what string, l *Log[rec]) {
+	t.Helper()
+	var got []rec
+	l.Live(func(r rec) bool {
+		got = append(got, r)
+		return true
+	})
+	want := make([]rec, len(m.order))
+	var size int64
+	for i, k := range m.order {
+		want[i] = m.recs[k]
+		size += m.sizes[k]
+	}
+	if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+		t.Fatalf("%s: live set %+v, want %+v", what, got, want)
+	}
+	if l.Len() != len(want) || l.Bytes() != size {
+		t.Fatalf("%s: Len %d, Bytes %d; want %d, %d", what, l.Len(), l.Bytes(), len(want), size)
+	}
+	for _, k := range m.order {
+		if r, ok := l.Get(k); !ok || r != m.recs[k] {
+			t.Fatalf("%s: Get(%s) = %+v, %v; want %+v", what, k, r, ok, m.recs[k])
+		}
+	}
+}
+
+// lineSize is the metered size of r's line.
+func lineSize(t *testing.T, r rec) int64 {
+	line, err := encodeLine(testVersion, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(line))
+}
+
+// liveProgram is a seeded random op sequence for FuzzLiveSet.
+func liveProgram(seed uint64, n int) []byte {
+	rng := rand.New(rand.NewPCG(seed, 0))
+	prog := make([]byte, n)
+	for i := range prog {
+		prog[i] = byte(rng.Uint32())
+	}
+	return prog
+}
+
+// FuzzLiveSet runs an op program against a Log and a liveModel in step.
+// Each byte is one op on one of eight keys: puts of new and live keys
+// (each with a fresh At, so a re-put changes the record and its size),
+// drops of live and absent keys, a switch that fails every mutating
+// filesystem call, and a reopen. Live compactions run every three drops.
+// After every op the live set must match the model; after every reopen
+// it must match what reached the disk — every op up to the first failed
+// write since the last open, none after it.
+func FuzzLiveSet(f *testing.F) {
+	f.Add([]byte{0x00, 0x11, 0x22, 0x10, 0x03, 0x07, 0x13, 0x07, 0x33, 0x06, 0x16, 0x07})
+	for seed := uint64(1); seed <= 4; seed++ {
+		f.Add(liveProgram(seed, 200))
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 200 {
+			return
+		}
+		fs := &countFS{FS: store.DiskFS(), nosync: true}
+		dir := t.TempDir()
+		l := openLog(t, dir, fs)
+		defer func() { l.Close() }()
+		l.every = 3
+		mem, disk := newModel(), newModel()
+		for step, b := range prog {
+			key := fmt.Sprintf("k%d", b>>5)
+			what := fmt.Sprintf("op %d (%#02x)", step, b)
+			healthy := !l.Degraded()
+			switch b & 7 {
+			case 0, 1, 2: // put
+				r := rec{Op: "put", Key: key, At: int64(step + 1)}
+				err := l.Put(r)
+				if (err != nil) != (fs.fail && healthy) {
+					t.Fatalf("%s: Put = %v with fail=%v healthy=%v", what, err, fs.fail, healthy)
+				}
+				mem.apply(r, lineSize(t, r))
+				if err == nil && healthy {
+					disk.apply(r, lineSize(t, r))
+				}
+			case 3, 4: // drop
+				_, live := mem.recs[key]
+				before := fs.calls
+				dropped, err := l.Drop(rec{Op: "del", Key: key})
+				if dropped != live || (err != nil) != (live && fs.fail && healthy) {
+					t.Fatalf("%s: Drop = %v, %v; live=%v fail=%v healthy=%v", what, dropped, err, live, fs.fail, healthy)
+				}
+				if !live && fs.calls != before {
+					t.Fatalf("%s: Drop of an absent key made %d filesystem calls", what, fs.calls-before)
+				}
+				mem.apply(rec{Op: "del", Key: key}, 0)
+				if err == nil && healthy {
+					disk.apply(rec{Op: "del", Key: key}, 0)
+				}
+			case 5, 6: // fail switch
+				fs.fail = !fs.fail
+			case 7: // reopen
+				l.Close()
+				fs.fail = false
+				l = openLog(t, dir, fs)
+				l.every = 3
+				mem = disk.clone()
+				what += " after reopen"
+			}
+			mem.check(t, what, l.Log)
+		}
+	})
+}
+
 // FuzzWALReplay: arbitrary bytes as one segment. Open never panics or
-// errors, and every replayed record re-encodes to a line that decodes
-// to itself.
+// errors, every replayed record — live, tombstone or invalid op —
+// re-encodes to a line that decodes to itself, and the live set is the
+// model's fold of the lines that decode.
 func FuzzWALReplay(f *testing.F) {
 	const version = "coordd-queue/v1"
 	for _, name := range []string{"journal.wal", "hints.wal"} {
@@ -480,33 +640,42 @@ func FuzzWALReplay(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 	}
-	put, _ := encodeLine(version, rec{Op: "put", Key: "k", At: 1})
-	f.Add(append(put, put...))
+	var seg []byte
+	for _, r := range []rec{{"put", "a", 1}, {"put", "b", 2}, {"put", "a", 3}, {"del", "b", 0}, {"del", "c", 0}, {"mark", "a", 5}, {"put", "b", 4}} {
+		line, _ := encodeLine(version, r)
+		seg = append(seg, line...)
+	}
+	f.Add(seg)
+	f.Add(seg[:len(seg)-7])
 	f.Add([]byte(version + " \n\n\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "00000001.wal"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var got []rec
-		l, err := Open(dir, Options[rec]{
-			Version:  version,
-			Apply:    func(r rec) error { got = append(got, r); return nil },
-			Snapshot: func() []rec { return got },
-		})
+		l, err := Open[rec](dir, Options{Version: version})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
 		l.Close()
-		for _, r := range got {
-			line, err := encodeLine(version, r)
+		m := newModel()
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			r, err := decodeLine[rec](version, line)
+			if err != nil {
+				continue
+			}
+			again, err := encodeLine(version, r)
 			if err != nil {
 				t.Fatalf("re-encode %+v: %v", r, err)
 			}
-			back, err := decodeLine[rec](version, line[:len(line)-1])
+			back, err := decodeLine[rec](version, again[:len(again)-1])
 			if err != nil || back != r {
 				t.Fatalf("re-encoded %+v decodes to %+v, %v", r, back, err)
 			}
+			if _, _, bad := r.Entry(); bad == nil {
+				m.apply(r, int64(len(line)+1))
+			}
 		}
+		m.check(t, "replay", l)
 	})
 }
