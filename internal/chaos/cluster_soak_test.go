@@ -238,8 +238,8 @@ func soakWait(t *testing.T, what string, d time.Duration, cond func() bool) {
 }
 
 // requestCount sums a cluster's peer-request cells for one op and
-// outcome across its peers — where replica pushes (replicate/ok) and
-// steal commits (commit/ok) are counted.
+// outcome across its peers — where replica pushes (replicate/ok) are
+// counted.
 func requestCount(cl *cluster.Cluster, op, outcome string) int64 {
 	var n int64
 	for _, r := range cl.Snapshot().Requests {
@@ -451,8 +451,8 @@ func TestSoakClusterKillRestartConvergence(t *testing.T) {
 
 	// ── Phase 3: the thief dies mid-steal. ──
 	// A's single worker is pinned by a gated blocker, B steals one of
-	// the two queued jobs and journals+commits it, then B dies with the
-	// stolen job un-run. B's restart must replay its WAL and run the job
+	// the two queued jobs and journals it, then B dies with the stolen
+	// job un-run. B's restart must replay its WAL and run the job
 	// exactly once; A settles it through the stolen-job follower.
 	a.kill()
 	a.boot(peers, service.Config{Workers: 1}, calm(130), 301)
@@ -464,8 +464,8 @@ func TestSoakClusterKillRestartConvergence(t *testing.T) {
 		return err == nil && st.State == service.StateRunning
 	})
 	ids3 := []string{blocker.ID, submitTo(a, 302).ID, submitTo(a, 303).ID}
-	soakWait(t, "B to steal and commit one job", 20*time.Second, func() bool {
-		return b.s.Metrics().JobsStolen.Load() >= 1 && requestCount(b.cl, "commit", "ok") >= 1
+	soakWait(t, "B to steal one job", 20*time.Second, func() bool {
+		return b.s.Metrics().JobsStolen.Load() >= 1
 	})
 	b.kill()
 	b.boot(peers, service.Config{Workers: 2}, calm(132))
@@ -481,10 +481,10 @@ func TestSoakClusterKillRestartConvergence(t *testing.T) {
 	}
 
 	// ── Phase 4: the victim dies mid-steal. ──
-	// Same saturation, but A dies after B journals and commits the
-	// steal: the commit tombstoned the job in A's WAL, so A's restart
-	// replays only the blocker and the un-stolen job, while B alone
-	// runs the stolen one.
+	// Same saturation, but A dies after B journals the steal. A's intent
+	// record is still pending, so its restart replays the blocker, the
+	// un-stolen job and the intent, whose follower settles the stolen
+	// job from B's result as a peer hit, while B alone runs it.
 	a.kill()
 	a.boot(peers, service.Config{Workers: 1}, calm(140), 401)
 	b.kill()
@@ -496,18 +496,18 @@ func TestSoakClusterKillRestartConvergence(t *testing.T) {
 	})
 	submitTo(a, 402)
 	submitTo(a, 403)
-	soakWait(t, "B to steal and commit one phase-4 job", 20*time.Second, func() bool {
-		return b.s.Metrics().JobsStolen.Load() >= 1 && requestCount(b.cl, "commit", "ok") >= 1
+	soakWait(t, "B to steal one phase-4 job", 20*time.Second, func() bool {
+		return b.s.Metrics().JobsStolen.Load() >= 1
 	})
 	a.kill()
 	b.openGate()
 	a.boot(peers, service.Config{Workers: 2}, calm(142))
-	if got := a.s.Metrics().QueueReplayed.Load(); got != 2 {
-		t.Fatalf("A replayed %d jobs after dying as steal victim, want 2 (blocker + un-stolen; the committed steal is tombstoned)", got)
+	if got := a.s.Metrics().QueueReplayed.Load(); got != 3 {
+		t.Fatalf("A replayed %d jobs after dying as steal victim, want 3 (blocker, un-stolen and the pending intent)", got)
 	}
 	soakWait(t, "phase-4 replayed jobs to settle on A", 30*time.Second, func() bool {
 		jobs := a.s.Jobs()
-		if len(jobs) != 2 {
+		if len(jobs) != 3 {
 			return false
 		}
 		for _, st := range jobs {
@@ -517,6 +517,9 @@ func TestSoakClusterKillRestartConvergence(t *testing.T) {
 		}
 		return true
 	})
+	if hits, reclaimed := a.s.Metrics().PeerHits.Load(), a.s.Metrics().JobsReclaimed.Load(); hits != 1 || reclaimed != 0 {
+		t.Fatalf("A settled the phase-4 replay with %d peer hits and %d reclaims, want the stolen job as 1 peer hit and 0 reclaims", hits, reclaimed)
+	}
 	soakWait(t, "phase-4 stolen job to settle on B", 30*time.Second, func() bool {
 		for seed := uint64(401); seed <= 403; seed++ {
 			if holders(keys[seed]) < 1 {

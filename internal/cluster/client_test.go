@@ -15,10 +15,9 @@ import (
 // fakePeer is a minimal peer-protocol server: a key→body map plus a
 // steal grant.
 type fakePeer struct {
-	results    map[string][]byte
-	grant      []StolenJob
-	gets       atomic.Int64
-	lastCommit atomic.Value // CommitRequest
+	results map[string][]byte
+	grant   []StolenJob
+	gets    atomic.Int64
 }
 
 func (f *fakePeer) handler() http.Handler {
@@ -38,12 +37,6 @@ func (f *fakePeer) handler() http.Handler {
 		var req StealRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		json.NewEncoder(w).Encode(StealResponse{Jobs: f.grant})
-	})
-	mux.HandleFunc("POST "+StealCommitPath, func(w http.ResponseWriter, r *http.Request) {
-		var req CommitRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		f.lastCommit.Store(req)
-		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("GET "+JobsPathPrefix+"{key}", func(w http.ResponseWriter, r *http.Request) {
 		if _, ok := f.results[r.PathValue("key")]; !ok {
@@ -257,30 +250,6 @@ func TestHasResultAndKnowsJob(t *testing.T) {
 	}
 }
 
-func TestCommitStealPostsKeys(t *testing.T) {
-	fp := &fakePeer{}
-	srv := httptest.NewServer(fp.handler())
-	defer srv.Close()
-	c, err := New(Options{Self: "http://self.invalid:1", Peers: []string{srv.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CommitSteal(context.Background(), srv.URL, []string{"k1", "k2"}); err != nil {
-		t.Fatalf("commit: %v", err)
-	}
-	got := fp.lastCommit.Load()
-	if got == nil {
-		t.Fatal("peer never saw the commit")
-	}
-	req := got.(CommitRequest)
-	if req.Thief != c.Self() || len(req.Keys) != 2 || req.Keys[0] != "k1" || req.Keys[1] != "k2" {
-		t.Fatalf("commit request = %+v", req)
-	}
-	if n := reqCount(c.Snapshot(), "commit", "ok"); n != 1 {
-		t.Fatalf("commit ok count = %d, want 1", n)
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Self: "", Peers: []string{"http://a:1"}}); err == nil {
 		t.Fatal("empty self must be rejected")
@@ -342,9 +311,6 @@ func TestPeerCallBookkeeping(t *testing.T) {
 			_, err := c.StealFrom(ctx, addr, 1)
 			return err
 		}, [7]string{"miss", "error", "error", "error", "open", "cancelled", "cancelled"}},
-		{"commit", func(ctx context.Context, c *Cluster, addr string) error {
-			return c.CommitSteal(ctx, addr, []string{key})
-		}, [7]string{"ok", "error", "error", "error", "open", "cancelled", "cancelled"}},
 		{"jobs", func(ctx context.Context, c *Cluster, addr string) error {
 			_, err := c.KnowsJob(ctx, addr, key)
 			return err

@@ -22,7 +22,6 @@ import (
 const (
 	ResultsPathPrefix = "/v1/peer/results/"
 	StealPath         = "/v1/peer/steal"
-	StealCommitPath   = "/v1/peer/steal/commit"
 	JobsPathPrefix    = "/v1/peer/jobs/"
 	// PingPath is the failure detector's heartbeat target: any answer
 	// from the process (including 404 from an older build) counts as
@@ -30,9 +29,10 @@ const (
 	PingPath = "/v1/peer/ping"
 )
 
-// maxResultBytes bounds a fetched result body; anything bigger than
-// this is not a coordd result and is treated as a peer error.
-const maxResultBytes = 32 << 20
+// MaxResultBytes bounds a result body on the peer protocol: a fetched
+// answer past it is treated as a peer error, and a replicated body past
+// it is refused. Anything bigger is not a coordd result.
+const MaxResultBytes = 32 << 20
 
 // StolenJob is one unit of pending work handed from a victim's queue to
 // a thief, carrying everything the thief needs to re-admit it locally:
@@ -57,16 +57,6 @@ type StealRequest struct {
 // StealResponse is the victim's grant (possibly empty).
 type StealResponse struct {
 	Jobs []StolenJob `json:"jobs"`
-}
-
-// CommitRequest is the body of POST /v1/peer/steal/commit: the thief
-// confirms it has journaled the listed stolen keys into its own WAL,
-// which licenses the victim to tombstone its intent records. Until this
-// arrives the victim's journal still owns the jobs, so a thief crash
-// before commit strands nothing.
-type CommitRequest struct {
-	Thief string   `json:"thief"`
-	Keys  []string `json:"keys"`
 }
 
 // Options configures New.
@@ -274,7 +264,7 @@ func (c *Cluster) FetchResult(ctx context.Context, key string) ([]byte, string, 
 // done on entry: outcome "cancelled", no breaker verdict — the peer did
 // nothing wrong), asks its breaker for admission (pings skip the gate:
 // probing peers the breaker has written off is the detector's job),
-// sends the request, and reads at most maxResultBytes of the answer.
+// sends the request, and reads at most MaxResultBytes of the answer.
 // classify maps the answer to an outcome: "hit", "miss" or "ok" book a
 // Success on the breaker, "error" books a Failure, as do transport and
 // read errors — unless the caller's context is done by then, which
@@ -311,10 +301,10 @@ func (c *Cluster) call(ctx context.Context, peerAddr, op, method, path string, b
 	resp, err := c.client.Do(req)
 	if err == nil {
 		var answer []byte
-		answer, err = io.ReadAll(io.LimitReader(resp.Body, maxResultBytes+1))
+		answer, err = io.ReadAll(io.LimitReader(resp.Body, MaxResultBytes+1))
 		resp.Body.Close()
-		if err == nil && len(answer) > maxResultBytes {
-			err = fmt.Errorf("cluster: answer from %s exceeds %d bytes", p.addr, maxResultBytes)
+		if err == nil && len(answer) > MaxResultBytes {
+			err = fmt.Errorf("cluster: answer from %s exceeds %d bytes", p.addr, MaxResultBytes)
 		}
 		if err == nil {
 			if outcome, err = classify(resp.StatusCode, answer); outcome == "error" && err == nil {
@@ -414,17 +404,6 @@ func (c *Cluster) StealFrom(ctx context.Context, peerAddr string, want int) ([]S
 		return nil, err
 	}
 	return grant.Jobs, nil
-}
-
-// CommitSteal tells the victim that this thief has journaled the listed
-// stolen keys into its own WAL — phase two of the steal handoff. Only
-// after a 2xx here is the victim's journal clear of the jobs; on any
-// failure the victim keeps its intent records and its follower/replay
-// machinery guarantees the jobs still run somewhere.
-func (c *Cluster) CommitSteal(ctx context.Context, victimAddr string, keys []string) error {
-	reqBody, _ := json.Marshal(CommitRequest{Thief: c.self, Keys: keys}) // strings cannot fail to marshal
-	_, err := c.call(ctx, victimAddr, "commit", http.MethodPost, StealCommitPath, reqBody, accepted)
-	return err
 }
 
 // KnowsJob asks one peer whether it has any record of key — an inflight

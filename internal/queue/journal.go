@@ -33,11 +33,11 @@ const journalVersion = "coordd-queue/v1"
 const (
 	OpAccept = "accept"
 	OpSettle = "settle"
-	// OpIntent marks a pending job as granted to a thief but not yet
-	// committed: the first phase of the two-phase steal handoff. The job
-	// stays pending (an intent is an annotated accept, not a tombstone),
-	// so a crash on both sides before the thief commits still replays
-	// the job here — nothing is stranded.
+	// OpIntent marks a pending job as granted to a thief whose result
+	// has not landed here yet. The job stays pending (an intent is an
+	// annotated accept, not a tombstone) until it settles on this node
+	// or a reclaim re-accepts it, so a crash on both sides replays the
+	// job here whether or not the thief kept it — nothing is stranded.
 	OpIntent = "intent"
 )
 
@@ -114,9 +114,9 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 }
 
 // Entry names the key a record makes pending or settles. An intent is
-// still pending — only the commit-driven settle tombstone clears it —
-// and replay surfaces the recorded thief so the service can poll it
-// before re-running locally.
+// still pending — only a settle tombstone clears it, written once the
+// stolen job settles here — and replay surfaces the recorded thief so
+// the service can poll it before re-running locally.
 func (r Record) Entry() (string, bool, error) {
 	switch {
 	case r.Key == "":
@@ -148,10 +148,10 @@ func (j *Journal) Accept(rec Record) error {
 }
 
 // Intent re-stamps key's pending record with the thief's address and
-// appends (and fsyncs) it — phase one of the two-phase steal handoff.
-// The job stays pending: a replay after a crash re-admits it (annotated
-// with the thief), and only the commit-driven Settle clears it. A key
-// with no pending accept is a no-op.
+// appends (and fsyncs) it before a steal grant leaves. The job stays
+// pending: a replay after a crash re-admits it (annotated with the
+// thief), and only Settle, once the job settles here, or a fresh Accept
+// on reclaim replaces it. A key with no pending accept is a no-op.
 func (j *Journal) Intent(key, thief string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

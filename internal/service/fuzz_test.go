@@ -101,7 +101,9 @@ func upperRunName(s string) string {
 // endpoint decodes them, through grid expansion and checks its contracts
 // on every accepted sweep:
 //
-//   - a grid whose axis-length product exceeds MaxSweepCells is refused;
+//   - a grid whose axis-length product exceeds MaxSweepCells, or whose
+//     product times the base's encoded size exceeds maxBodyBytes, is
+//     refused;
 //   - an accepted grid has between 1 and MaxSweepCells cells;
 //   - every cell spec is a canonical fixed point whose Key is the cell's
 //     key, and no two cells share a key;
@@ -131,9 +133,10 @@ func FuzzSweepExpand(f *testing.F) {
 			}
 		}
 		cells, key, err := ss.expand()
-		if product > MaxSweepCells {
+		base, _ := json.Marshal(ss.Base)
+		if product > MaxSweepCells || product*len(base) > maxBodyBytes {
 			if err == nil {
-				t.Fatalf("grid of more than %d cells accepted: %s", MaxSweepCells, body)
+				t.Fatalf("grid of %d cells over a %d-byte base accepted: %s", product, len(base), body)
 			}
 			return
 		}

@@ -107,7 +107,7 @@ func TestClusterPeerHintedHandoffDelivery(t *testing.T) {
 	if got := a.hints.PendingFor(normB); got == 0 {
 		t.Fatal("failed replica push never queued a hint")
 	}
-	if _, pf, _ := replicaCounts(a.cluster.Snapshot()); pf[normB] == 0 {
+	if _, pf := replicaCounts(a.cluster.Snapshot()); pf[normB] == 0 {
 		t.Fatalf("push failure not counted for %s: %v", normB, pf)
 	}
 	// The detector must have marked B dead by now (2 misses at 50 ms).
@@ -302,14 +302,13 @@ func scrapeMetrics(t *testing.T, addr string) map[string]float64 {
 
 var peerRequestSeries = regexp.MustCompile(`^coordd_peer_requests_total\{peer="([^"]*)",op="([^"]*)",outcome="([^"]*)"\}$`)
 
-// checkReplicaSeries asserts that the replica-push and steal-commit
-// series on a /metrics page are exactly the sums of the matching
+// checkReplicaSeries asserts that the replica-push series on a
+// /metrics page are exactly the sums of the matching
 // coordd_peer_requests_total cells: pushes are replicate requests that
-// came back ok, push failures every other replicate outcome by peer,
-// and steal commits commit requests that came back ok.
+// came back ok, push failures every other replicate outcome by peer.
 func checkReplicaSeries(t *testing.T, m map[string]float64) {
 	t.Helper()
-	var pushes, commits float64
+	var pushes float64
 	failures := make(map[string]float64)
 	for series, v := range m {
 		cell := peerRequestSeries.FindStringSubmatch(series)
@@ -319,15 +318,10 @@ func checkReplicaSeries(t *testing.T, m map[string]float64) {
 			pushes += v
 		case cell[2] == "replicate":
 			failures[cell[1]] += v
-		case cell[2] == "commit" && cell[3] == "ok":
-			commits += v
 		}
 	}
 	if got := m["coordd_replica_pushes_total"]; got != pushes {
 		t.Errorf("coordd_replica_pushes_total = %g, replicate/ok cells sum to %g", got, pushes)
-	}
-	if got := m["coordd_steal_commits_total"]; got != commits {
-		t.Errorf("coordd_steal_commits_total = %g, commit/ok cells sum to %g", got, commits)
 	}
 	for series, got := range m {
 		if rest, ok := strings.CutPrefix(series, `coordd_replica_push_failures_total{peer="`); ok {

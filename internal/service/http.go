@@ -29,7 +29,6 @@ import (
 //	GET    /v1/peer/results/{key} serve a stored result to a cluster peer
 //	PUT    /v1/peer/results/{key} accept a replicated result from a peer
 //	POST   /v1/peer/steal      donate pending jobs to an idle peer
-//	POST   /v1/peer/steal/commit thief confirms stolen jobs are in its WAL
 //	GET    /v1/peer/jobs/{key} whether this node has any record of a key
 //	GET    /v1/peer/ping       failure-detector heartbeat (always 200)
 //	GET    /v1/admin/store     durable-store state + quarantine listing
@@ -53,7 +52,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/peer/results/{key}", s.handlePeerGetResult)
 	mux.HandleFunc("PUT /v1/peer/results/{key}", s.handlePeerPutResult)
 	mux.HandleFunc("POST /v1/peer/steal", s.handlePeerSteal)
-	mux.HandleFunc("POST /v1/peer/steal/commit", s.handlePeerStealCommit)
 	mux.HandleFunc("GET /v1/peer/jobs/{key}", s.handlePeerKnowsJob)
 	mux.HandleFunc("GET /v1/peer/ping", s.handlePeerPing)
 	mux.HandleFunc("GET /v1/admin/store", s.handleAdminStore)
@@ -110,8 +108,14 @@ const maxBodyBytes = 64 << 20
 // unknown fields rather than ignoring them: a typoed field name would
 // otherwise silently canonicalize to a different job. A body that does
 // not decode answers 400 naming the kind of spec, one that runs past the
-// bound 413, and decode reports false.
+// bound 413, and decode reports false. A body whose Content-Length
+// already declares it past the bound gets its 413 before any of it is
+// read.
 func decode(w http.ResponseWriter, r *http.Request, kind string, spec any) bool {
+	if r.ContentLength > maxBodyBytes {
+		writeJSON(w, http.StatusRequestEntityTooLarge, apiError{Error: fmt.Sprintf("decoding %s spec: body of %d bytes exceeds %d", kind, r.ContentLength, maxBodyBytes)})
+		return false
+	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(spec); err != nil {

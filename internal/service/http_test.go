@@ -172,10 +172,20 @@ func (spaces) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// unread fails the test if anything reads it.
+type unread struct{ t *testing.T }
+
+func (r unread) Read([]byte) (int, error) {
+	r.t.Error("a body declared past the bound was read")
+	return 0, io.EOF
+}
+
 // TestHTTPBodyPastBoundIs413: a submission body one byte longer than
 // maxBodyBytes answers 413 with the JSON error body, though it is a
 // valid spec behind leading whitespace that would otherwise decode. The
-// body is generated as it is read, so the test never holds it.
+// body is generated as it is read, so the test never holds it. A job or
+// sweep whose Content-Length declares that size answers 413 without a
+// byte of its body read.
 func TestHTTPBodyPastBoundIs413(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer drain(t, s)
@@ -193,29 +203,38 @@ func TestHTTPBodyPastBoundIs413(t *testing.T) {
 	if n := s.Metrics().JobsSubmitted.Load(); n != 0 {
 		t.Fatalf("%d jobs submitted from an oversized body", n)
 	}
-}
-
-// TestPeerBodyPastBoundIs413: a steal request and a steal commit one
-// byte longer than maxPeerMsgBytes each answer 413 with the JSON error
-// body, though each is a valid message behind leading whitespace. Every
-// daemon serves these routes, standalone ones too.
-func TestPeerBodyPastBoundIs413(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer drain(t, s)
-	for path, msg := range map[string]string{
-		cluster.StealPath:       `{"want": 1, "thief": "http://127.0.0.1:9"}`,
-		cluster.StealCommitPath: `{"thief": "http://127.0.0.1:9", "keys": []}`,
-	} {
-		body := io.MultiReader(io.LimitReader(spaces{}, int64(maxPeerMsgBytes+1-len(msg))), strings.NewReader(msg))
+	for _, path := range []string{"/v1/jobs", "/v1/sweeps"} {
+		req := httptest.NewRequest(http.MethodPost, path, unread{t})
+		req.ContentLength = maxBodyBytes + 1
 		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		s.Handler().ServeHTTP(rec, req)
 		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s answered %d to a body one byte past the bound, want 413", path, rec.Code)
+			t.Errorf("%s: code %d for a declared body one byte past the bound, want 413", path, rec.Code)
 		}
 		var e apiError
 		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
 			t.Errorf("%s: 413 body %q is not an API error (%v)", path, rec.Body.String(), err)
 		}
+	}
+}
+
+// TestPeerBodyPastBoundIs413: a steal request one byte longer than
+// maxPeerMsgBytes answers 413 with the JSON error body, though it is a
+// valid message behind leading whitespace. Every daemon serves this
+// route, standalone ones too.
+func TestPeerBodyPastBoundIs413(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer drain(t, s)
+	msg := `{"want": 1, "thief": "http://127.0.0.1:9"}`
+	body := io.MultiReader(io.LimitReader(spaces{}, int64(maxPeerMsgBytes+1-len(msg))), strings.NewReader(msg))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, cluster.StealPath, body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("steal answered %d to a body one byte past the bound, want 413", rec.Code)
+	}
+	var e apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Errorf("413 body %q is not an API error (%v)", rec.Body.String(), err)
 	}
 }
 

@@ -114,12 +114,11 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// replicaCounts reads the replica-push and steal-commit series off the
-// cluster's own request counters, so each request is counted once:
-// pushes are replicate requests that came back ok, failures every other
-// replicate outcome by peer, and commits commit requests that came back
-// ok. A standalone daemon's empty snapshot gives zeros.
-func replicaCounts(snap cluster.Snapshot) (pushes int64, failures map[string]int64, commits int64) {
+// replicaCounts reads the replica-push series off the cluster's own
+// request counters, so each push is counted once: pushes are replicate
+// requests that came back ok, failures every other replicate outcome by
+// peer. A standalone daemon's empty snapshot gives zeros.
+func replicaCounts(snap cluster.Snapshot) (pushes int64, failures map[string]int64) {
 	failures = make(map[string]int64)
 	for _, r := range snap.Requests {
 		switch {
@@ -127,11 +126,9 @@ func replicaCounts(snap cluster.Snapshot) (pushes int64, failures map[string]int
 			pushes += r.Count
 		case r.Op == "replicate":
 			failures[r.Peer] += r.Count
-		case r.Op == "commit" && r.Outcome == "ok":
-			commits += r.Count
 		}
 	}
-	return pushes, failures, commits
+	return pushes, failures
 }
 
 // ObserveJobSeconds records one job's wall-clock duration under its
@@ -213,7 +210,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 	gauge := func(name, help string, v int) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
-	pushes, pushFailures, stealCommits := replicaCounts(g.Cluster)
+	pushes, pushFailures := replicaCounts(g.Cluster)
 	counter("coordd_jobs_submitted_total", "Valid job submissions and admitted sweep cells, cache hits and 429/503 refusals included.", m.JobsSubmitted.Load())
 	counter("coordd_jobs_completed_total", "Jobs that finished successfully.", m.JobsCompleted.Load())
 	counter("coordd_jobs_failed_total", "Jobs that ended in an error.", m.JobsFailed.Load())
@@ -244,7 +241,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 	counter("coordd_jobs_stolen_total", "Pending jobs adopted from saturated peers.", m.JobsStolen.Load())
 	counter("coordd_jobs_donated_total", "Pending jobs granted to idle peers.", m.JobsDonated.Load())
 	counter("coordd_jobs_reclaimed_total", "Donated jobs taken back after their thief stopped answering.", m.JobsReclaimed.Load())
-	counter("coordd_steal_commits_total", "Two-phase steal commits posted back to victims.", stealCommits)
 	counter("coordd_replica_pushes_total", "Result bodies successfully pushed to replica peers.", pushes)
 	counter("coordd_replica_repairs_total", "Under-replicated bodies healed by the anti-entropy repair loop.", m.ReplicaRepairs.Load())
 	counter("coordd_read_repairs_total", "Bodies pushed back to replicas that missed them after a fall-through fetch.", m.ReadRepairs.Load())

@@ -10,6 +10,7 @@ import (
 
 	"coordattack/internal/cluster"
 	"coordattack/internal/queue"
+	"coordattack/internal/store"
 )
 
 // This file is the service side of the static-peer cluster
@@ -26,45 +27,28 @@ import (
 // node death loses no cached result.
 //
 // Stealing moves *pending* jobs from a saturated node (the victim) to
-// an idle one (the thief) in two phases. INTENT: the victim re-stamps
-// the job's journal record with the thief's address (fsynced) before
-// the grant leaves; the job stays pending in its journal. COMMIT: the
-// thief appends the job to its own WAL, then posts a commit, and only
-// then does the victim tombstone. A crash at any point leaves at least
-// one journal owning the job, and the victim's follower (awaitStolen)
-// reclaims it for local re-run only once the thief provably has no
-// record of it — so a thief+victim double crash strands nothing and no
-// crash schedule runs a key twice.
+// an idle one (the thief) in one phase: intent, adopt, then follow or
+// reclaim. The victim re-stamps the job's journal record as an intent
+// naming the thief (fsynced) before the grant leaves, and the record
+// stays pending; the thief adopts the job as accepted work, journaled
+// when it has a journal. The victim's follower (awaitStolen) polls the
+// thief until the result lands, and settling the job then tombstones
+// the intent. Ownership moves on an observed result, never on a
+// message: no word from the thief could vouch that the job is durable
+// there, so the key stays in the victim's WAL until its result exists
+// somewhere. The follower reclaims the job for a local run only once
+// the thief provably has no record of it, so a crash of either node,
+// or both, strands nothing and runs no key twice.
 
-// maxPeerBodyBytes bounds a replicated result body accepted over PUT.
-const maxPeerBodyBytes = 32 << 20
-
-// maxPeerMsgBytes bounds a steal request or steal commit body. A commit
-// lists 64-hex-digit keys, so 1 MiB holds one of over ten thousand.
+// maxPeerMsgBytes bounds a steal request body: a count and an address.
 const maxPeerMsgBytes = 1 << 20
-
-// validKey reports whether key looks like a coordd/v2 result key: 64
-// lowercase hex digits. Peer endpoints reject anything else before
-// touching the cache or disk.
-func validKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
 
 // handlePeerGetResult serves GET /v1/peer/results/{key}: the bit-exact
 // stored body for a settled key, or 404 on a clean miss. Peers use it
 // both for owner lookups and for following stolen jobs.
 func (s *Server) handlePeerGetResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !validKey(key) {
+	if !store.IsKey(key) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "malformed result key"})
 		return
 	}
@@ -87,12 +71,12 @@ func (s *Server) handlePeerGetResult(w http.ResponseWriter, r *http.Request) {
 // bytes are stored verbatim — they must stay bit-identical cluster-wide.
 func (s *Server) handlePeerPutResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !validKey(key) {
+	if !store.IsKey(key) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "malformed result key"})
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxPeerBodyBytes+1))
-	if err != nil || len(body) == 0 || len(body) > maxPeerBodyBytes || !json.Valid(body) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, cluster.MaxResultBytes+1))
+	if err != nil || len(body) == 0 || len(body) > cluster.MaxResultBytes || !json.Valid(body) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad result body"})
 		return
 	}
@@ -111,48 +95,14 @@ func (s *Server) handlePeerSteal(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, cluster.StealResponse{Jobs: s.stealVictim(req.Want, req.Thief)})
 }
 
-// handlePeerStealCommit serves POST /v1/peer/steal/commit: the thief
-// confirming it has journaled the listed stolen keys into its own WAL.
-// Only now does the victim tombstone its intent records — ownership has
-// provably transferred. A commit for a key this node has meanwhile
-// reclaimed (the thief went quiet past the poll budget, then the commit
-// arrived late) is ignored: the local journal record backs the local
-// re-run, and content-addressed results make the overlap harmless.
-func (s *Server) handlePeerStealCommit(w http.ResponseWriter, r *http.Request) {
-	var req cluster.CommitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPeerMsgBytes)).Decode(&req); err != nil || req.Thief == "" {
-		writeJSON(w, decodeStatus(err), apiError{Error: "bad steal commit"})
-		return
-	}
-	for _, key := range req.Keys {
-		if !validKey(key) {
-			continue
-		}
-		owned := false
-		s.mu.Lock()
-		if j := s.inflight[key]; j != nil {
-			j.mu.Lock()
-			if j.stolenBy == req.Thief {
-				owned, j.journaled = j.journaled, false
-			}
-			j.mu.Unlock()
-		}
-		s.mu.Unlock()
-		if owned {
-			_ = s.journal.Settle(key)
-		}
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // handlePeerKnowsJob serves GET /v1/peer/jobs/{key}: whether this node
-// has any durable record of key — an in-flight job (its own journal
-// accept), or a cached/stored result. The victim's stolen-job follower
-// uses it to distinguish a thief that is still working (or restarted
-// with the job in its WAL) from one that never durably took the job.
+// has any record of key — an in-flight job, or a cached/stored result.
+// The victim's stolen-job follower uses it to distinguish a thief that
+// is still working (or restarted with the job in its WAL) from one that
+// never took the job or lost it in a crash.
 func (s *Server) handlePeerKnowsJob(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !validKey(key) {
+	if !store.IsKey(key) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "malformed result key"})
 		return
 	}
@@ -221,8 +171,8 @@ func (s *Server) replicateResult(key string, body json.RawMessage) {
 // address the follower could not dial (a node advertising 0.0.0.0, say):
 // the victim would reclaim the jobs while the thief ran them too.
 // Donated jobs keep their HTTP-visible Job here: the journal record is
-// re-stamped as a steal intent (fsynced before the grant leaves; the
-// tombstone waits for the thief's commit) and a follower goroutine
+// re-stamped as a steal intent (fsynced before the grant leaves) that
+// stays pending until the job settles here, and a follower goroutine
 // polls the thief for the result.
 func (s *Server) stealVictim(want int, thief string) []cluster.StolenJob {
 	if s.cluster == nil || want < 1 || !slices.Contains(s.cluster.PeerAddrs(), cluster.NormalizeAddr(thief)) {
@@ -275,10 +225,10 @@ func (s *Server) stealVictim(want int, thief string) []cluster.StolenJob {
 	}
 	s.mu.Unlock()
 	for _, j := range followers {
-		// Phase one: stamp the journal record with the thief's address
-		// before the grant leaves. The job stays pending here — only the
-		// thief's commit (after it journals the job itself) tombstones it,
-		// so no crash schedule leaves the job owned by nobody's WAL.
+		// Stamp the journal record with the thief's address before the
+		// grant leaves. The job stays pending here until its result lands
+		// or a reclaim re-accepts it, so no crash schedule leaves the job
+		// in nobody's WAL.
 		s.journalIntent(j, thief)
 		go s.awaitStolen(j, thief)
 	}
@@ -286,9 +236,9 @@ func (s *Server) stealVictim(want int, thief string) []cluster.StolenJob {
 }
 
 // journalIntent re-stamps j's pending journal record with the thief's
-// address (phase one of the two-phase handoff), only if j owns its
-// record. Ownership is NOT cleared: the victim's journal keeps the job
-// until the thief's commit settles it.
+// address, only if j owns its record. Ownership is not cleared: the
+// record stays pending until j settles here (the follower fetched the
+// thief's result, or j was cancelled) or a reclaim re-accepts it.
 func (s *Server) journalIntent(j *Job, thief string) {
 	if s.journal == nil {
 		return
@@ -307,7 +257,7 @@ func (s *Server) journalIntent(j *Job, thief string) {
 // The job stays "queued" (with stolen_by set) while remote, so API
 // cancel keeps working through the normal queued-cancel path.
 //
-// The reclaim rule is the liveness half of the two-phase handoff: a
+// The reclaim rule is the liveness half of the handoff: a
 // poll that errors AND a clean miss from a thief with no record of the
 // key both count against the poll budget; a thief that answers "I know
 // this job" (running it, or restarted with it in its WAL) resets the
@@ -332,9 +282,7 @@ func (s *Server) awaitStolen(j *Job, thief string) {
 		}
 		body, found, err := s.cluster.FetchFrom(j.ctx, thief, j.key)
 		if found {
-			// The intent record may still be pending (the thief's commit
-			// crashed or lost a race); the body is durable locally now, so
-			// settling tombstones it either way.
+			// The result exists now: settling tombstones the intent.
 			s.settlePeerResult(j, body)
 			return
 		}
@@ -386,13 +334,14 @@ func (s *Server) awaitStolen(j *Job, thief string) {
 }
 
 // adoptStolen admits jobs granted by a victim into this node's own
-// queue, registry, and journal. Keys already settled or in flight
-// locally are skipped — the victim's follower finds the body through
-// the results endpoint either way. It returns how many jobs entered the
-// local queue and the victim keys this node now durably owns (freshly
-// journaled, already settled, or already in flight under a local
-// accept) — the set the steal loop commits back to the victim.
-func (s *Server) adoptStolen(jobs []cluster.StolenJob) (adopted int, committed []string) {
+// queue, registry, and journal as accepted work, and returns how many
+// entered the local queue. Keys already settled or in flight locally
+// are skipped — the victim's follower finds the body through the
+// results endpoint either way. Nothing goes back to the victim: it
+// keeps its intent record until its follower fetches the result, so a
+// thief without a durable journal strands nothing.
+func (s *Server) adoptStolen(jobs []cluster.StolenJob) int {
+	adopted := 0
 	for _, sj := range jobs {
 		var spec JobSpec
 		if err := json.Unmarshal(sj.Spec, &spec); err != nil {
@@ -404,26 +353,16 @@ func (s *Server) adoptStolen(jobs []cluster.StolenJob) (adopted int, committed [
 		}
 		// Adopt under our own canonical key. On version skew it may
 		// differ from the victim's; the victim's follower then falls back
-		// to recompute — degraded, never wrong. Only same-key adoptions
-		// are committed: the victim tombstones the key it granted, so the
-		// commit must vouch for that exact key.
+		// to recompute — degraded, never wrong.
 		key := canon.Key()
 		if _, ok := s.local(key); ok {
-			if key == sj.Key {
-				committed = append(committed, key)
-			}
 			continue
 		}
 		j := s.newJob(canon, key, queue.Class(sj.Class), sj.Flow)
 		s.mu.Lock()
 		if s.inflight[key] != nil {
-			// Already queued or running here under a local accept record;
-			// this node owns the key's fate, so the victim can tombstone.
 			s.mu.Unlock()
 			j.cancel()
-			if key == sj.Key {
-				committed = append(committed, key)
-			}
 			continue
 		}
 		// Replay admission: a steal this node asked for must not bounce
@@ -435,11 +374,8 @@ func (s *Server) adoptStolen(jobs []cluster.StolenJob) (adopted int, committed [
 		}
 		s.metrics.JobsStolen.Add(1)
 		adopted++
-		if key == sj.Key {
-			committed = append(committed, key)
-		}
 	}
-	return adopted, committed
+	return adopted
 }
 
 // stealRound is one round of the work-stealing loop, which New runs
@@ -464,20 +400,8 @@ func (s *Server) stealRound() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		jobs, err := s.cluster.StealFrom(ctx, peer, free)
 		cancel()
-		if err != nil || len(jobs) == 0 {
-			continue
-		}
-		adopted, committed := s.adoptStolen(jobs)
-		free -= adopted
-		if len(committed) > 0 {
-			// Phase two: the stolen keys are in this node's WAL (or
-			// already settled here); tell the victim it may tombstone its
-			// intents. A failed commit is safe — the victim keeps its
-			// records and its follower waits on this node, which now
-			// provably knows the jobs.
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_ = s.cluster.CommitSteal(ctx, peer, committed)
-			cancel()
+		if err == nil {
+			free -= s.adoptStolen(jobs)
 		}
 	}
 }

@@ -66,7 +66,7 @@ func (s *Server) replicationInfo(snap cluster.Snapshot) *ReplicationInfo {
 		Repairs:     s.metrics.ReplicaRepairs.Load(),
 		ReadRepairs: s.metrics.ReadRepairs.Load(),
 	}
-	info.Pushes, info.PushFailures, _ = replicaCounts(snap)
+	info.Pushes, info.PushFailures = replicaCounts(snap)
 	if s.hints != nil {
 		hs := s.hints.Stats()
 		info.Hints = &hs

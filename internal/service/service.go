@@ -708,15 +708,13 @@ func (s *Server) replayJournal() {
 		j := s.newJob(spec, key, queue.Class(rec.Class), rec.Flow)
 		j.journaled = key == rec.Key
 		if j.journaled && rec.Op == queue.OpIntent && rec.Thief != "" && s.cluster != nil {
-			// The crash interrupted a steal handoff after the intent was
-			// journaled but before the thief's commit tombstoned it. The
-			// thief may well hold the job (it journaled it and crashed
-			// before committing — its own replay re-runs it), or it may
+			// The crash interrupted a steal handoff before the thief's
+			// result landed here. The thief may well hold the job (it
+			// journaled it, and its own replay re-runs it), or it may
 			// never have durably taken it. submit re-attaches the
 			// follower, which reclaims for a local re-run only once the
 			// thief provably has no record of the key: blindly
-			// re-enqueueing would be the double-execution half of the
-			// double-crash window the two-phase handoff closes.
+			// re-enqueueing would run the key twice.
 			j.stolenBy = rec.Thief
 		}
 		accepted := time.Now()

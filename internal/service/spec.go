@@ -121,15 +121,20 @@ type PrecisionSpec struct {
 func normSpec(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
 
 // normRunSpec lowercases only the name part of a run spec: the payload
-// of "custom:N=...;I=...;M=..." is case-sensitive.
+// of "custom:N=...;I=...;M=..." is case-sensitive. A spec already in
+// canonical form comes back as is, not rebuilt, so the cells of a sweep
+// share their base's run string instead of each holding a copy.
 func normRunSpec(s string) string {
 	s = strings.TrimSpace(s)
 	name, args, ok := strings.Cut(s, ":")
-	name = strings.ToLower(name)
-	if !ok {
-		return name
+	lower := strings.ToLower(name)
+	switch {
+	case !ok:
+		return lower
+	case lower != name:
+		return lower + ":" + args
 	}
-	return name + ":" + args
+	return s
 }
 
 // Canonicalize validates the spec and returns the canonical copy: every

@@ -15,27 +15,33 @@ import (
 	"coordattack/internal/queue"
 )
 
-// This file enumerates the crash schedule of the two-phase steal
-// handoff. For victim V, thief T, and stolen key K the phases are:
+// This file enumerates the crash schedule of the steal handoff. For
+// victim V, thief T, and stolen key K the steps are:
 //
-//	intent  — V journals K's record re-stamped with T (fsynced),
-//	adopt   — T journals K into its own WAL and enqueues it,
-//	commit  — T posts the commit; V tombstones K's intent.
+//	intent — V re-stamps K's journal record with T (fsynced) and grants
+//	         K; the record stays pending,
+//	adopt  — T enqueues K, journaling it when its journal is healthy,
+//	follow — V polls T until K's result lands, and settling K on V
+//	         tombstones the intent; or, once T provably has no record
+//	         of K, reclaim — V re-accepts K and runs it.
 //
-// Each subtest crashes one or both nodes between two phases and
-// asserts the invariant the protocol promises: the key's engine runs
-// exactly once cluster-wide, and no crash point strands it.
+// Each subtest crashes one or both nodes between two steps and asserts
+// the invariant the protocol promises: the key's engine runs exactly
+// once cluster-wide, and no crash point strands it.
 //
-//	P1  T never adopts (no crash)        → V reclaims, runs locally
+//	P1  T never adopts (no crash)          → V reclaims, runs locally
 //	P2  T never adopts, V dies post-intent → V's replay re-attaches the
 //	    follower, which reclaims and runs locally
-//	P3  T adopts, dies before commit     → T's replay runs K; V's
+//	P3  T adopts, dies running K           → T's replay runs K; V's
 //	    follower waits it out and serves the result as a peer hit
-//	P4  T adopts+commits, V dies after   → V's replay has no record of
-//	    K; T runs it
-//	P5  commit lands, T dies before running K → T's replay runs K
-//	P6  commit lands, both die           → T's replay runs K; V's
-//	    replay has no record of K
+//	P4  T adopts, V dies after             → V's replay re-attaches the
+//	    follower; T runs K; V serves it as a peer hit
+//	P5  T adopts, dies with K still queued → T's replay runs K; V's
+//	    follower gets the result
+//	P6  T adopts, both die                 → T's replay runs K; V's
+//	    replay follows it to a peer hit
+//	P7  T's journal is degraded when it adopts, both die → T has no
+//	    record of K; V's replay reclaims and runs it
 //
 // Kill fidelity: the journal handle is closed first (appends stop
 // reaching disk, like a SIGKILL), the HTTP handler is swapped out
@@ -44,9 +50,10 @@ import (
 // directory into a fresh Server on the same address.
 
 const (
-	crashBlockerSeed = 424242
-	crashStolenSeedA = 1001
-	crashStolenSeedB = 1002
+	crashBlockerSeed      = 424242
+	crashThiefBlockerSeed = 424243
+	crashStolenSeedA      = 1001
+	crashStolenSeedB      = 1002
 )
 
 // runCounter tallies *completed* engine runs per canonical key across
@@ -209,11 +216,10 @@ func nodeHasResult(addr, key string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// saturateAndGrant fills the victim — a gated blocker pins its single
-// worker, two more submissions build surplus — then extracts a one-job
-// grant for the thief's address, journaling the intent (phase one).
-// Returns the grant and the submitted jobs' ids by key.
-func saturateAndGrant(t *testing.T, v *crashNode, thiefAddr string) (grant []cluster.StolenJob, ids map[string]string) {
+// saturate fills the victim — a gated blocker pins its single worker,
+// two more submissions build surplus — and returns the submitted jobs'
+// ids by key.
+func saturate(t *testing.T, v *crashNode) (ids map[string]string) {
 	t.Helper()
 	blocker := JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: crashBlockerSeed}
 	st, err := v.s.Submit(blocker)
@@ -229,11 +235,73 @@ func saturateAndGrant(t *testing.T, v *crashNode, thiefAddr string) (grant []clu
 		}
 		ids[st.Key] = st.ID
 	}
+	return ids
+}
+
+// saturateAndGrant saturates the victim, then extracts a one-job grant
+// for the thief's address, journaling the intent. Returns the grant and
+// the submitted jobs' ids by key.
+func saturateAndGrant(t *testing.T, v *crashNode, thiefAddr string) (grant []cluster.StolenJob, ids map[string]string) {
+	t.Helper()
+	ids = saturate(t, v)
 	grant = v.s.stealVictim(1, thiefAddr)
 	if len(grant) != 1 {
 		t.Fatalf("stealVictim granted %d jobs, want 1", len(grant))
 	}
 	return grant, ids
+}
+
+// adopt has the thief adopt a one-job grant.
+func adopt(t *testing.T, th *crashNode, grant []cluster.StolenJob) {
+	t.Helper()
+	if got := th.s.adoptStolen(grant); got != 1 {
+		t.Fatalf("thief adopted %d jobs, want 1", got)
+	}
+}
+
+// assertPeerHit waits for the victim's replayed job for key to settle
+// and checks that it came from the thief: a peer hit, with no reclaim,
+// after the victim replayed its blocker, its filler and the intent.
+func assertPeerHit(t *testing.T, v *crashNode, key string) {
+	t.Helper()
+	if got := v.s.Metrics().QueueReplayed.Load(); got != 3 {
+		t.Fatalf("victim replayed %d records, want 3 (blocker, filler, intent)", got)
+	}
+	id := ""
+	for _, st := range v.s.Jobs() {
+		if st.Key == key {
+			id = st.ID
+		}
+	}
+	if id == "" {
+		t.Fatal("victim replayed no job for the stolen key")
+	}
+	if st := waitDone(t, v.s, id); st.State != StateDone || !st.Cached {
+		t.Fatalf("victim job for stolen key: %s cached=%v (%s), want a done peer hit", st.State, st.Cached, st.Error)
+	}
+	if got := v.s.Metrics().PeerHits.Load(); got != 1 {
+		t.Fatalf("victim peer hits = %d, want 1", got)
+	}
+	if got := v.s.Metrics().JobsReclaimed.Load(); got != 0 {
+		t.Fatalf("restarted victim reclaimed %d jobs, want 0", got)
+	}
+}
+
+// assertReclaimed checks that the restarted victim replayed its
+// blocker, its filler and the intent, found the thief without a record
+// of key, and reclaimed and ran it once.
+func assertReclaimed(t *testing.T, v *crashNode, cc *runCounter, key string) {
+	t.Helper()
+	if got := v.s.Metrics().QueueReplayed.Load(); got != 3 {
+		t.Fatalf("victim replayed %d records, want 3 (blocker, filler, intent)", got)
+	}
+	waitUntil(t, "replayed follower to reclaim", func() bool {
+		return v.s.Metrics().JobsReclaimed.Load() == 1
+	})
+	waitUntil(t, "reclaimed key to run locally", func() bool { return nodeHasResult(v.addr, key) })
+	if got := cc.get(key); got != 1 {
+		t.Fatalf("stolen key ran %d engines, want 1", got)
+	}
 }
 
 func TestStealCrashSchedule(t *testing.T) {
@@ -284,24 +352,15 @@ func TestStealCrashSchedule(t *testing.T) {
 		v.kill()
 
 		v.boot(cc, peers, Config{Workers: 1, StealPollInterval: 25 * time.Millisecond, StealPollFailures: 4})
-		if got := v.s.Metrics().QueueReplayed.Load(); got != 3 {
-			t.Fatalf("victim replayed %d records, want 3 (blocker, filler, intent)", got)
-		}
-		waitUntil(t, "replayed follower to reclaim", func() bool {
-			return v.s.Metrics().JobsReclaimed.Load() == 1
-		})
-		waitUntil(t, "reclaimed key to run locally", func() bool { return nodeHasResult(v.addr, k) })
-		if got := cc.get(k); got != 1 {
-			t.Fatalf("stolen key ran %d engines, want 1", got)
-		}
+		assertReclaimed(t, v, cc, k)
 		cc.assertNoDoubles(t)
 	})
 
-	// P3: the thief journals the job (adopt) and dies before the commit.
-	// Its restart replays and runs K; the victim's follower — which keeps
-	// polling because the thief provably knows the job — serves the
-	// result as a peer hit. No reclaim, no second run.
-	t.Run("P3_thief_dies_before_commit", func(t *testing.T) {
+	// P3: the thief journals the job (adopt) and dies while running it.
+	// Its restart replays and runs K; the victim's follower — which
+	// keeps polling because the thief provably knows the job — serves
+	// the result as a peer hit. No reclaim, no second run.
+	t.Run("P3_thief_dies_running", func(t *testing.T) {
 		cc := newRunCounter()
 		v, th := newCrashNode(t), newCrashNode(t)
 		peers := []string{v.addr, th.addr}
@@ -310,12 +369,9 @@ func TestStealCrashSchedule(t *testing.T) {
 		grant, ids := saturateAndGrant(t, v, th.addr)
 		k := grant[0].Key
 
-		adopted, committed := th.s.adoptStolen(grant)
-		if adopted != 1 || len(committed) != 1 || committed[0] != k {
-			t.Fatalf("adopt: adopted=%d committed=%v", adopted, committed)
-		}
-		// Crash before the commit leaves: K is in both WALs.
-		th.kill()
+		adopt(t, th, grant)
+		waitUntil(t, "thief to start the stolen job", func() bool { return th.s.running.Load() == 1 })
+		th.kill() // K is in both WALs and ran 0 times
 
 		th.boot(cc, peers, Config{Workers: 1})
 		if st := waitDone(t, v.s, ids[k]); st.State != StateDone {
@@ -333,10 +389,10 @@ func TestStealCrashSchedule(t *testing.T) {
 		cc.assertNoDoubles(t)
 	})
 
-	// P4: full handoff (adopt + commit), then the victim dies. Its
-	// replay must have no record of K — the commit tombstoned the intent
-	// — while the thief computes it once.
-	t.Run("P4_victim_dies_after_commit", func(t *testing.T) {
+	// P4: the thief adopts, then the victim dies. Its intent record is
+	// still pending, so its replay re-attaches the follower, which finds
+	// the thief's result: a peer hit, no reclaim, one run.
+	t.Run("P4_victim_dies_after_adopt", func(t *testing.T) {
 		cc := newRunCounter()
 		v, th := newCrashNode(t), newCrashNode(t)
 		peers := []string{v.addr, th.addr}
@@ -345,49 +401,35 @@ func TestStealCrashSchedule(t *testing.T) {
 		grant, _ := saturateAndGrant(t, v, th.addr)
 		k := grant[0].Key
 
-		_, committed := th.s.adoptStolen(grant)
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		err := th.s.cluster.CommitSteal(ctx, v.addr, committed)
-		cancel()
-		if err != nil {
-			t.Fatalf("commit: %v", err)
-		}
+		adopt(t, th, grant)
 		v.kill()
 
 		v.boot(cc, peers, Config{Workers: 1, StealPollInterval: 25 * time.Millisecond, StealPollFailures: 4})
-		if got := v.s.Metrics().QueueReplayed.Load(); got != 2 {
-			t.Fatalf("victim replayed %d records, want 2 (the commit tombstoned the intent)", got)
-		}
-		waitUntil(t, "thief to compute the stolen key", func() bool { return nodeHasResult(th.addr, k) })
+		assertPeerHit(t, v, k)
 		if got := cc.get(k); got != 1 {
 			t.Fatalf("stolen key ran %d engines, want 1", got)
-		}
-		if got := v.s.Metrics().JobsReclaimed.Load(); got != 0 {
-			t.Fatalf("restarted victim reclaimed %d jobs, want 0", got)
 		}
 		cc.assertNoDoubles(t)
 	})
 
-	// P5: commit lands, then the thief dies before running K. Its
-	// replay runs it; the victim's follower (still polling — the commit
-	// cleared the WAL, not the in-memory job) gets the result.
-	t.Run("P5_thief_dies_after_commit_before_run", func(t *testing.T) {
+	// P5: the thief adopts K behind a job of its own, then dies before
+	// running it. Its replay runs K; the victim's follower, still
+	// polling, gets the result.
+	t.Run("P5_thief_dies_before_run", func(t *testing.T) {
 		cc := newRunCounter()
 		v, th := newCrashNode(t), newCrashNode(t)
 		peers := []string{v.addr, th.addr}
 		v.boot(cc, peers, Config{Workers: 1, StealPollInterval: 25 * time.Millisecond, StealPollFailures: 1000}, crashBlockerSeed)
-		th.boot(cc, peers, Config{Workers: 1}, crashStolenSeedA, crashStolenSeedB)
+		th.boot(cc, peers, Config{Workers: 1}, crashThiefBlockerSeed)
+		if _, err := th.s.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: crashThiefBlockerSeed}); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "thief's blocker to occupy its worker", func() bool { return th.s.running.Load() == 1 })
 		grant, ids := saturateAndGrant(t, v, th.addr)
 		k := grant[0].Key
 
-		_, committed := th.s.adoptStolen(grant)
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		err := th.s.cluster.CommitSteal(ctx, v.addr, committed)
-		cancel()
-		if err != nil {
-			t.Fatalf("commit: %v", err)
-		}
-		th.kill() // K ran 0 times; it exists only in the thief's WAL
+		adopt(t, th, grant)
+		th.kill() // K ran 0 times; it sits queued in the thief's WAL
 
 		th.boot(cc, peers, Config{Workers: 1})
 		if st := waitDone(t, v.s, ids[k]); st.State != StateDone {
@@ -399,11 +441,9 @@ func TestStealCrashSchedule(t *testing.T) {
 		cc.assertNoDoubles(t)
 	})
 
-	// P6: commit lands, then both nodes die. The victim's replay has no
-	// record of K (tombstoned); the thief's replay runs it once. The
-	// cluster keeps the promise even though the submitting client's
-	// daemon forgot the job existed.
-	t.Run("P6_both_die_after_commit", func(t *testing.T) {
+	// P6: the thief adopts, then both nodes die. The thief's replay runs
+	// K once; the victim's replay follows it to a peer hit.
+	t.Run("P6_both_die_after_adopt", func(t *testing.T) {
 		cc := newRunCounter()
 		v, th := newCrashNode(t), newCrashNode(t)
 		peers := []string{v.addr, th.addr}
@@ -412,28 +452,51 @@ func TestStealCrashSchedule(t *testing.T) {
 		grant, _ := saturateAndGrant(t, v, th.addr)
 		k := grant[0].Key
 
-		_, committed := th.s.adoptStolen(grant)
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		err := th.s.cluster.CommitSteal(ctx, v.addr, committed)
-		cancel()
-		if err != nil {
-			t.Fatalf("commit: %v", err)
+		adopt(t, th, grant)
+		th.kill()
+		v.kill()
+
+		th.boot(cc, peers, Config{Workers: 1})
+		v.boot(cc, peers, Config{Workers: 1, StealPollInterval: 25 * time.Millisecond, StealPollFailures: 4})
+		assertPeerHit(t, v, k)
+		if got := cc.get(k); got != 1 {
+			t.Fatalf("stolen key ran %d engines, want 1", got)
+		}
+		cc.assertNoDoubles(t)
+	})
+
+	// P7: the thief's journal is degraded (closed) when the steal loop
+	// adopts, so K never reaches its disk; then both nodes die. Only the
+	// victim's pending intent remembers K: its replay follows the thief,
+	// learns that it has no record of K, and reclaims and runs it once.
+	// The handoff goes through the thief's own steal round.
+	t.Run("P7_degraded_thief_both_die", func(t *testing.T) {
+		cc := newRunCounter()
+		v, th := newCrashNode(t), newCrashNode(t)
+		peers := []string{v.addr, th.addr}
+		v.boot(cc, peers, Config{Workers: 1, StealPollInterval: time.Hour, StealPollFailures: 4}, crashBlockerSeed)
+		th.boot(cc, peers, Config{Workers: 1}, crashStolenSeedA, crashStolenSeedB)
+		saturate(t, v)
+		th.jl.Close()
+		th.s.stealRound()
+		if got := th.s.Metrics().JobsStolen.Load(); got != 1 {
+			t.Fatalf("thief adopted %d jobs, want 1", got)
+		}
+		k := ""
+		for _, st := range v.s.Jobs() {
+			if st.StolenBy != "" {
+				k = st.Key
+			}
+		}
+		if k == "" {
+			t.Fatal("no victim job is marked stolen")
 		}
 		th.kill()
 		v.kill()
 
 		th.boot(cc, peers, Config{Workers: 1})
 		v.boot(cc, peers, Config{Workers: 1, StealPollInterval: 25 * time.Millisecond, StealPollFailures: 4})
-		if got := v.s.Metrics().QueueReplayed.Load(); got != 2 {
-			t.Fatalf("victim replayed %d records, want 2", got)
-		}
-		waitUntil(t, "restarted thief to compute the stolen key", func() bool { return nodeHasResult(th.addr, k) })
-		if got := cc.get(k); got != 1 {
-			t.Fatalf("stolen key ran %d engines, want 1", got)
-		}
-		if got := v.s.Metrics().JobsReclaimed.Load(); got != 0 {
-			t.Fatalf("restarted victim reclaimed %d jobs, want 0", got)
-		}
+		assertReclaimed(t, v, cc, k)
 		cc.assertNoDoubles(t)
 	})
 }

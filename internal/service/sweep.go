@@ -119,9 +119,10 @@ func (a SweepAxes) table() [6]sweepAxis {
 
 // expand validates the sweep and returns its deduplicated cell grid in
 // enumeration order plus the sweep key. The grid is sized from the axis
-// lengths before any cell is built, so an oversized sweep is refused
-// without rendering a value. Cells are enumerated by index, the last
-// non-empty axis fastest, and each is canonicalized once through
+// lengths before any cell is built, so an oversized sweep — too many
+// cells, or cells times the base's encoded size past maxBodyBytes — is
+// refused without rendering a value. Cells are enumerated by index, the
+// last non-empty axis fastest, and each is canonicalized once through
 // JobSpec.Canonicalize: an invalid grid point rejects the whole sweep
 // at submit time, and a cell leaves here canonical and keyed. Cells
 // whose canonical keys collide (two spellings of one computation, or a
@@ -149,6 +150,16 @@ func (ss SweepSpec) expand() ([]*sweepCell, string, error) {
 			return nil, "", fmt.Errorf("service: sweep grid exceeds %d cells", MaxSweepCells)
 		}
 		axes = append(axes, ax)
+	}
+	// Every cell parses the base's run again when it is canonicalized,
+	// and journals its own copy of the spec when it is enqueued, so the
+	// grid may not multiply the base past one submission body.
+	base, err := json.Marshal(ss.Base)
+	if err != nil {
+		return nil, "", fmt.Errorf("service: sweep base: %w", err)
+	}
+	if cells*len(base) > maxBodyBytes {
+		return nil, "", fmt.Errorf("service: sweep of %d cells over a %d-byte base exceeds %d bytes", cells, len(base), maxBodyBytes)
 	}
 
 	out := make([]*sweepCell, 0, cells)

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestSweepExpansion checks grid expansion mechanics: cartesian order,
@@ -102,29 +104,64 @@ func TestSweepExpansion(t *testing.T) {
 }
 
 // TestSweepOversizedAxisRefusedCheaply: a grid is sized from its axis
-// lengths before any cell is built, so refusing a 100,000-value axis
-// allocates next to nothing instead of rendering every value.
+// lengths and its base's encoded size before any cell is built, so
+// refusing a 100,000-value axis allocates next to nothing instead of
+// rendering every value, and refusing 256 cells over a 300 KB custom:
+// run (77 MB of cell specs, past maxBodyBytes) costs about one encoding
+// of the base instead of parsing the run 256 times.
 func TestSweepOversizedAxisRefusedCheaply(t *testing.T) {
 	seeds := make([]uint64, 100_000)
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)
 	}
-	ss := SweepSpec{Base: JobSpec{Protocol: "s:0.1"}, Axes: SweepAxes{Seeds: seeds}}
-	// The least of three runs, so an allocation by some other goroutine
-	// during one run does not count.
-	least := uint64(math.MaxUint64)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, _, err := ss.expand()
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatal("a 100,000-cell sweep was accepted")
-		}
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	var deliveries strings.Builder
+	for r := 1; r <= 16_000; r++ {
+		fmt.Fprintf(&deliveries, ",1t2r%d,2t1r%d", r, r)
 	}
-	if least >= 64<<10 {
-		t.Fatalf("refusing the oversized sweep allocated %d bytes, want under 64 KiB", least)
+	custom := "custom:N=16000;I=1,2;M=" + deliveries.String()[1:]
+	for _, tc := range []struct {
+		name  string
+		ss    SweepSpec
+		limit uint64
+	}{
+		{"100,000-cell axis", SweepSpec{Base: JobSpec{Protocol: "s:0.1"}, Axes: SweepAxes{Seeds: seeds}}, 64 << 10},
+		{"256 cells over a custom run", SweepSpec{Base: JobSpec{Protocol: "s:0.1", Run: custom}, Axes: SweepAxes{Seeds: seeds[:256]}}, 4 << 20},
+	} {
+		// The least of three runs, so an allocation by some other
+		// goroutine during one run does not count.
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := tc.ss.expand()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s: sweep accepted", tc.name)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= tc.limit {
+			t.Errorf("%s: refusing the sweep allocated %d bytes, want under %d", tc.name, least, tc.limit)
+		}
+	}
+}
+
+// TestSweepCellsShareTheBaseRun: the cells of a sweep over a canonical
+// custom: run keep the base's run string instead of each building a
+// copy.
+func TestSweepCellsShareTheBaseRun(t *testing.T) {
+	run := "custom:N=3;I=1;M=1t2r1,2t1r2"
+	cells, _, err := SweepSpec{
+		Base: JobSpec{Protocol: "s:0.1", Run: run},
+		Axes: SweepAxes{Seeds: []uint64{1, 2, 3, 4}},
+	}.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		if unsafe.StringData(c.spec.Run) != unsafe.StringData(run) {
+			t.Fatalf("cell %v holds its own copy of the run", c.params)
+		}
 	}
 }
 

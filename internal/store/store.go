@@ -240,7 +240,7 @@ func (s *Store) scan() error {
 				_ = s.fs.Remove(filepath.Join(shardPath, name))
 				continue
 			}
-			if !isKey(name) || name[:2] != shard.Name() {
+			if !IsKey(name) || name[:2] != shard.Name() {
 				continue
 			}
 			info, err := f.Info()
@@ -258,10 +258,11 @@ func isShardName(name string) bool {
 	return len(name) == 2 && isHex(name)
 }
 
-// isKey reports whether name is a well-formed spec key: 64 lowercase
+// IsKey reports whether key is a well-formed spec key: 64 lowercase
 // hex characters. Everything else is rejected before touching the
-// filesystem, which also closes the path-traversal door.
-func isKey(key string) bool {
+// filesystem, which also closes the path-traversal door; coordd's peer
+// endpoints apply the same check to keys arriving over the network.
+func IsKey(key string) bool {
 	return len(key) == 64 && isHex(key)
 }
 
@@ -325,7 +326,7 @@ func decode(key string, data []byte) ([]byte, error) {
 // corrupt or mis-keyed entry is moved to quarantine/ and reported as a
 // miss; I/O errors are plain misses. Hits refresh the entry's recency.
 func (s *Store) Get(key string) ([]byte, bool) {
-	if !isKey(key) {
+	if !IsKey(key) {
 		s.misses.Add(1)
 		return nil, false
 	}
@@ -384,7 +385,7 @@ func (s *Store) quarantine(key, path string, cause error) {
 // the error; callers are expected to treat that as advisory — the
 // computation already succeeded, only its persistence failed.
 func (s *Store) Put(key string, body []byte) error {
-	if !isKey(key) {
+	if !IsKey(key) {
 		return fmt.Errorf("store: malformed key %q", key)
 	}
 	s.mu.Lock()
@@ -581,7 +582,7 @@ func (s *Store) Rescan() RescanReport {
 	// Re-admit quarantine files that verify now. Only well-formed key
 	// names can re-enter the serving tree; crash debris stays put.
 	for _, qe := range s.Quarantine() {
-		if !isKey(qe.Name) {
+		if !IsKey(qe.Name) {
 			continue
 		}
 		qpath := filepath.Join(s.dir, quarantineDir, qe.Name)
