@@ -43,6 +43,15 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, nil))
 }
 
+// off converts a loop-interval flag, where 0 means off, to a Config
+// interval, where 0 means the default and a negative value means off.
+func off(d time.Duration) time.Duration {
+	if d == 0 {
+		return -1
+	}
+	return d
+}
+
 // run starts the daemon. stop overrides the OS signal channel so tests
 // can trigger a drain; nil means SIGINT/SIGTERM.
 func run(args []string, out io.Writer, stop <-chan os.Signal) int {
@@ -229,22 +238,6 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) int {
 		}
 	}
 
-	watchdogInterval := *wdInterval
-	if watchdogInterval == 0 {
-		watchdogInterval = -1 // flag 0 = off; Config 0 = default
-	}
-	stealInterval := *stealEvery
-	if stealInterval == 0 {
-		stealInterval = -1 // flag 0 = off; Config 0 = default
-	}
-	repairInterval := *repairEvery
-	if repairInterval == 0 {
-		repairInterval = -1 // flag 0 = off; Config 0 = default
-	}
-	probeInterval := *probeEvery
-	if probeInterval == 0 {
-		probeInterval = -1 // flag 0 = off; Config 0 = default
-	}
 	srv := service.New(service.Config{
 		Workers:           *workers,
 		QueueDepth:        *queueDepth,
@@ -255,13 +248,13 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) int {
 		Journal:           jl,
 		SweepRetention:    *sweepKeep,
 		JobRetention:      *jobKeep,
-		WatchdogInterval:  watchdogInterval,
+		WatchdogInterval:  off(*wdInterval),
 		WatchdogGrace:     *wdGrace,
 		Cluster:           cl,
-		StealInterval:     stealInterval,
-		RepairInterval:    repairInterval,
+		StealInterval:     off(*stealEvery),
+		RepairInterval:    off(*repairEvery),
 		Hints:             hl,
-		ProbeInterval:     probeInterval,
+		ProbeInterval:     off(*probeEvery),
 		ProbeMisses:       *probeMisses,
 	})
 	if st != nil {

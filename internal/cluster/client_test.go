@@ -10,13 +10,15 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"coordattack/internal/queue"
 )
 
 // fakePeer is a minimal peer-protocol server: a key→body map plus a
 // steal grant.
 type fakePeer struct {
 	results map[string][]byte
-	grant   []StolenJob
+	grant   []queue.Record
 	gets    atomic.Int64
 }
 
@@ -199,7 +201,7 @@ func TestBreakerDefaultThresholdIsThree(t *testing.T) {
 }
 
 func TestStealFromGrants(t *testing.T) {
-	fp := &fakePeer{grant: []StolenJob{{Key: "k1", Class: "interactive", Spec: json.RawMessage(`{"protocol":"a"}`)}}}
+	fp := &fakePeer{grant: []queue.Record{{Key: "k1", Class: "interactive", Spec: json.RawMessage(`{"protocol":"a"}`)}}}
 	srv := httptest.NewServer(fp.handler())
 	defer srv.Close()
 	c, err := New(Options{Self: "http://self.invalid:1", Peers: []string{srv.URL}})
@@ -218,6 +220,57 @@ func TestStealFromGrants(t *testing.T) {
 	snap := c.Snapshot()
 	if reqCount(snap, "steal", "hit") != 1 || reqCount(snap, "steal", "miss") != 1 {
 		t.Fatalf("steal counters wrong: %+v", snap.Requests)
+	}
+}
+
+// TestStealGrantMixedVersions: a grant is the victim's accept record on
+// the wire. One from this build decodes, unchanged, into the five-field
+// struct an older thief reads, and an older victim's grant, without op
+// or at, decodes into records with neither, which the thief adopts with
+// the time it adopts them.
+func TestStealGrantMixedVersions(t *testing.T) {
+	rec := queue.Record{
+		Op: queue.OpAccept, Key: "k1", Flow: "sweep-7", Class: "sweep", Priority: 5,
+		Spec: json.RawMessage(`{"protocol":"a"}`), At: 1_700_000_000_000_000_000,
+	}
+	wire, err := json.Marshal(StealResponse{Jobs: []queue.Record{rec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var older struct {
+		Jobs []struct {
+			Key      string          `json:"key"`
+			Flow     string          `json:"flow,omitempty"`
+			Class    string          `json:"class,omitempty"`
+			Priority int             `json:"priority,omitempty"`
+			Spec     json.RawMessage `json:"spec"`
+		} `json:"jobs"`
+	}
+	if err := json.Unmarshal(wire, &older); err != nil || len(older.Jobs) != 1 {
+		t.Fatalf("older thief decoding %s: %+v, %v", wire, older, err)
+	}
+	if j := older.Jobs[0]; j.Key != rec.Key || j.Flow != rec.Flow || j.Class != rec.Class ||
+		j.Priority != rec.Priority || string(j.Spec) != string(rec.Spec) {
+		t.Fatalf("older thief read %+v from %s", j, wire)
+	}
+
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST "+StealPath, func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"jobs": [{"key": "k1", "flow": "sweep-7", "class": "sweep", "priority": 5, "spec": {"protocol":"a"}}]}`)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	c, err := New(Options{Self: "http://self.invalid:1", Peers: []string{srv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := c.StealFrom(context.Background(), srv.URL, 1)
+	if err != nil || len(jobs) != 1 {
+		t.Fatalf("older grant: jobs=%+v err=%v", jobs, err)
+	}
+	if j := jobs[0]; j.Op != "" || j.At != 0 || j.Key != rec.Key || j.Flow != rec.Flow ||
+		j.Class != rec.Class || j.Priority != rec.Priority || string(j.Spec) != string(rec.Spec) {
+		t.Fatalf("older grant decoded as %+v", j)
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"coordattack/internal/queue"
 )
 
 // Peer-protocol paths, served by the coordd HTTP layer and dialed by
@@ -34,18 +36,6 @@ const (
 // it is refused. Anything bigger is not a coordd result.
 const MaxResultBytes = 32 << 20
 
-// StolenJob is one unit of pending work handed from a victim's queue to
-// a thief, carrying everything the thief needs to re-admit it locally:
-// the victim's canonical key (what the victim will poll for), the
-// scheduling envelope, and the canonical spec JSON.
-type StolenJob struct {
-	Key      string          `json:"key"`
-	Flow     string          `json:"flow,omitempty"`
-	Class    string          `json:"class,omitempty"`
-	Priority int             `json:"priority,omitempty"`
-	Spec     json.RawMessage `json:"spec"`
-}
-
 // StealRequest is the body of POST /v1/peer/steal: how many jobs the
 // thief can take and the thief's advertise address, which the victim
 // polls for the stolen jobs' results.
@@ -54,9 +44,14 @@ type StealRequest struct {
 	Thief string `json:"thief"`
 }
 
-// StealResponse is the victim's grant (possibly empty).
+// StealResponse is the victim's grant (possibly empty): each job as the
+// accept record the victim's journal keeps for it, admission time
+// included. The victim's canonical key is what it will poll for. The
+// record's key, flow, class, priority and spec fields keep the names an
+// older thief decodes; op and at are new, and an older thief ignores
+// them.
 type StealResponse struct {
-	Jobs []StolenJob `json:"jobs"`
+	Jobs []queue.Record `json:"jobs"`
 }
 
 // Options configures New.
@@ -384,7 +379,7 @@ func (c *Cluster) HasResult(ctx context.Context, peerAddr, key string) (bool, er
 // StealFrom asks one peer to hand over up to want pending jobs. An
 // empty grant is a normal outcome (the peer is not overloaded), not a
 // failure.
-func (c *Cluster) StealFrom(ctx context.Context, peerAddr string, want int) ([]StolenJob, error) {
+func (c *Cluster) StealFrom(ctx context.Context, peerAddr string, want int) ([]queue.Record, error) {
 	reqBody, _ := json.Marshal(StealRequest{Want: want, Thief: c.self}) // an int and a string cannot fail to marshal
 	var grant StealResponse
 	_, err := c.call(ctx, peerAddr, "steal", http.MethodPost, StealPath, reqBody,

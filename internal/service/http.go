@@ -15,7 +15,8 @@ import (
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST   /v1/jobs            submit a JobSpec (200 done-from-cache, 202 queued, 413 body past 64 MiB)
+//	POST   /v1/jobs            submit a JobSpec (200 done-from-cache, 202 queued, 413 body past 64 MiB;
+//	                           a body past 1 MiB or unsized decodes in the one large-body slot)
 //	GET    /v1/jobs            list all jobs
 //	GET    /v1/jobs/{id}       poll one job's status/progress/result
 //	GET    /v1/jobs/{id}/watch stream NDJSON status lines until terminal
@@ -38,12 +39,12 @@ import (
 //	GET    /metrics            Prometheus text exposition
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	mux.HandleFunc("POST /v1/jobs", s.oneLarge(s.handleSubmit))
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, http.StatusOK, s.Jobs()) })
 	mux.HandleFunc("GET /v1/jobs/{id}", byID(s.Get))
 	mux.HandleFunc("GET /v1/jobs/{id}/watch", watch(s, s.job))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", byID(s.Cancel))
-	mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
+	mux.HandleFunc("POST /v1/sweeps", s.oneLarge(s.handleSubmitSweep))
 	mux.HandleFunc("GET /v1/sweeps", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, http.StatusOK, s.Sweeps()) })
 	mux.HandleFunc("GET /v1/sweeps/{id}", byID(s.GetSweep))
 	mux.HandleFunc("GET /v1/sweeps/{id}/watch", watch(s, s.sweep))
@@ -103,6 +104,31 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // coordd serves is a custom: run at the maxRunCost limit, at most 48 MiB
 // of text (DESIGN §8), so 64 MiB admits it with room to spare.
 const maxBodyBytes = 64 << 20
+
+// largeBodyBytes is the declared size past which a submission body is
+// decoded in the one large-body slot (oneLarge). Every spec short of a
+// big custom: run fits well under it.
+const largeBodyBytes = 1 << 20
+
+// oneLarge runs a submission handler, decode and admission both, in the
+// server's one large-body slot when the body is unsized or declares
+// more than largeBodyBytes: decoding materializes a body at several
+// times its size, so such bodies decode one at a time. A small body
+// with a declared length never waits. A request waiting for the slot
+// leaves when its client does.
+func (s *Server) oneLarge(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength < 0 || r.ContentLength > largeBodyBytes {
+			select {
+			case s.largeSlot <- struct{}{}:
+				defer func() { <-s.largeSlot }()
+			case <-r.Context().Done():
+				return
+			}
+		}
+		h(w, r)
+	}
+}
 
 // decode reads a POST body of at most maxBodyBytes into spec, rejecting
 // unknown fields rather than ignoring them: a typoed field name would

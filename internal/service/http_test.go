@@ -218,6 +218,86 @@ func TestHTTPBodyPastBoundIs413(t *testing.T) {
 	}
 }
 
+// probeBody is a request body that signals its first Read on read and
+// then answers with head, then blocks until release closes (EOF).
+type probeBody struct {
+	head    string
+	read    chan struct{}
+	release chan struct{}
+	once    bool
+}
+
+func newProbeBody(head string) *probeBody {
+	return &probeBody{head: head, read: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (b *probeBody) Read(p []byte) (int, error) {
+	if !b.once {
+		b.once = true
+		close(b.read)
+		return copy(p, b.head), nil
+	}
+	<-b.release
+	return 0, io.EOF
+}
+
+// TestLargeBodiesDecodeOneAtATime: a submission whose body declares
+// more than largeBodyBytes holds the one large-body slot while its
+// handler runs, so an unsized body waits unread until it returns, and a
+// waiting request whose client leaves gives up its place; a small
+// declared body passes meanwhile.
+func TestLargeBodiesDecodeOneAtATime(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer drain(t, s)
+	h := s.Handler()
+	serve := func(path string, body io.Reader, size int64, ctx context.Context) chan int {
+		req := httptest.NewRequest(http.MethodPost, path, body).WithContext(ctx)
+		req.ContentLength = size
+		code := make(chan int, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			code <- rec.Code
+		}()
+		return code
+	}
+	large := newProbeBody(`{"protocol": "a",`)
+	largeDone := serve("/v1/jobs", large, 2<<20, context.Background())
+	<-large.read
+
+	unsized := newProbeBody(`{"protocol": "a", "trials": 50}`)
+	close(unsized.release)
+	unsizedDone := serve("/v1/sweeps", unsized, -1, context.Background())
+	gone, leave := context.WithCancel(context.Background())
+	goneBody := newProbeBody("")
+	goneDone := serve("/v1/jobs", goneBody, -1, gone)
+
+	small := `{"protocol": "a", "trials": 40}`
+	if code := <-serve("/v1/jobs", strings.NewReader(small), int64(len(small)), context.Background()); code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("small body answered %d while the slot was held, want 200 or 202", code)
+	}
+	leave()
+	<-goneDone
+	select {
+	case <-goneBody.read:
+		t.Fatal("the body of a request whose client left was read")
+	default:
+	}
+	select {
+	case <-unsized.read:
+		t.Fatal("an unsized body was read while a large one held the slot")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(large.release)
+	if code := <-largeDone; code != http.StatusBadRequest {
+		t.Fatalf("truncated large body answered %d, want 400", code)
+	}
+	<-unsized.read
+	if code := <-unsizedDone; code != http.StatusBadRequest {
+		t.Fatalf("unsized body, not a sweep spec, answered %d, want 400", code)
+	}
+}
+
 // TestPeerBodyPastBoundIs413: a steal request one byte longer than
 // maxPeerMsgBytes answers 413 with the JSON error body, though it is a
 // valid message behind leading whitespace. Every daemon serves this

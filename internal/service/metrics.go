@@ -49,11 +49,13 @@ type Metrics struct {
 	// GET /v1/peer/results.
 	PeerServed atomic.Int64
 	// JobsStolen counts pending jobs this node adopted from saturated
-	// peers; JobsDonated counts pending jobs it granted to idle ones.
+	// peers, a job it donated and was handed back excluded; JobsDonated
+	// counts pending jobs it granted to idle ones.
 	JobsStolen  atomic.Int64
 	JobsDonated atomic.Int64
 	// JobsReclaimed counts donated jobs taken back and re-enqueued
-	// locally after their thief stopped answering.
+	// locally: their thief stopped answering, or a grant handed them
+	// back.
 	JobsReclaimed atomic.Int64
 	// ReplicaRepairs counts bodies the anti-entropy repair loop pushed
 	// to replicas found missing them — the under-replication it healed.
@@ -240,7 +242,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 	counter("coordd_peer_served_total", "Results served to cluster peers.", m.PeerServed.Load())
 	counter("coordd_jobs_stolen_total", "Pending jobs adopted from saturated peers.", m.JobsStolen.Load())
 	counter("coordd_jobs_donated_total", "Pending jobs granted to idle peers.", m.JobsDonated.Load())
-	counter("coordd_jobs_reclaimed_total", "Donated jobs taken back after their thief stopped answering.", m.JobsReclaimed.Load())
+	counter("coordd_jobs_reclaimed_total", "Donated jobs taken back to run here: their thief stopped answering, or a grant handed them back.", m.JobsReclaimed.Load())
 	counter("coordd_replica_pushes_total", "Result bodies successfully pushed to replica peers.", pushes)
 	counter("coordd_replica_repairs_total", "Under-replicated bodies healed by the anti-entropy repair loop.", m.ReplicaRepairs.Load())
 	counter("coordd_read_repairs_total", "Bodies pushed back to replicas that missed them after a fall-through fetch.", m.ReadRepairs.Load())

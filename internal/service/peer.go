@@ -28,17 +28,21 @@ import (
 //
 // Stealing moves *pending* jobs from a saturated node (the victim) to
 // an idle one (the thief) in one phase: intent, adopt, then follow or
-// reclaim. The victim re-stamps the job's journal record as an intent
-// naming the thief (fsynced) before the grant leaves, and the record
-// stays pending; the thief adopts the job as accepted work, journaled
-// when it has a journal. The victim's follower (awaitStolen) polls the
-// thief until the result lands, and settling the job then tombstones
-// the intent. Ownership moves on an observed result, never on a
-// message: no word from the thief could vouch that the job is durable
-// there, so the key stays in the victim's WAL until its result exists
-// somewhere. The follower reclaims the job for a local run only once
-// the thief provably has no record of it, so a crash of either node,
-// or both, strands nothing and runs no key twice.
+// reclaim. A grant carries each job as the accept record the victim's
+// journal keeps (Job.record), and both replay and adoption read it back
+// through jobOf. The victim re-stamps the job's journal record as an
+// intent naming the thief (fsynced) before the grant leaves, and the
+// record stays pending; the thief adopts the job as accepted work,
+// journaled when it has a journal. The victim's follower (awaitStolen)
+// polls the thief until the result lands, and settling the job then
+// tombstones the intent. Ownership moves on an observed result, never
+// on a message: no word from the thief could vouch that the job is
+// durable there, so the key stays in the victim's WAL until its result
+// exists somewhere. A job comes back to the victim by reclaim alone:
+// its follower takes it back once the thief provably has no record of
+// it, and a grant that hands a node a job its own follower holds is
+// taken back there too, so a crash of either node, or both, strands
+// nothing and runs no key twice, and no cycle of followers closes.
 
 // maxPeerMsgBytes bounds a steal request body: a count and an address.
 const maxPeerMsgBytes = 1 << 20
@@ -135,13 +139,20 @@ func (s *Server) handleAdminCluster(w http.ResponseWriter, r *http.Request) {
 
 // settlePeerResult finishes j with a body retrieved from a peer —
 // served as a cache hit: memoized locally, full trial count, no engine
-// run counted.
-func (s *Server) settlePeerResult(j *Job, body json.RawMessage) {
+// run counted — if j is still queued and stolen by thief ("" for a job
+// of this node's own queue). A follower whose job a reclaim took back
+// leaves it alone: cached is set only while stolen_by names the thief.
+func (s *Server) settlePeerResult(j *Job, body json.RawMessage, thief string) {
 	s.keep(j.key, body)
 	j.mu.Lock()
-	j.cached = true
-	j.stolenBy = ""
+	mine := j.stolenBy == thief && j.state == StateQueued
+	if mine {
+		j.cached, j.stolenBy = true, ""
+	}
 	j.mu.Unlock()
+	if !mine {
+		return
+	}
 	j.completed.Store(int64(j.spec.Trials))
 	s.settle(j, StateQueued, StateDone, body, "", &s.metrics.PeerHits)
 }
@@ -169,32 +180,29 @@ func (s *Server) replicateResult(key string, body json.RawMessage) {
 // a node never donates work its own idle-in-a-moment workers would
 // take next — and is empty for a thief outside this node's ring, whose
 // address the follower could not dial (a node advertising 0.0.0.0, say):
-// the victim would reclaim the jobs while the thief ran them too.
-// Donated jobs keep their HTTP-visible Job here: the journal record is
-// re-stamped as a steal intent (fsynced before the grant leaves) that
-// stays pending until the job settles here, and a follower goroutine
-// polls the thief for the result.
-func (s *Server) stealVictim(want int, thief string) []cluster.StolenJob {
+// the victim would reclaim the jobs while the thief ran them too. Each
+// job is granted as its accept record. Donated jobs keep their
+// HTTP-visible Job here: the journal record is re-stamped as a steal
+// intent naming the thief (fsynced before the grant leaves, like an
+// accept before its 202), which stays pending until the job settles
+// here or a reclaim re-accepts it, so no crash schedule leaves the job
+// in nobody's WAL; and a follower goroutine polls the thief for the
+// result.
+func (s *Server) stealVictim(want int, thief string) []queue.Record {
 	if s.cluster == nil || want < 1 || !slices.Contains(s.cluster.PeerAddrs(), cluster.NormalizeAddr(thief)) {
 		return nil
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
 		return nil
 	}
-	surplus := s.sched.Depth() - s.cfg.Workers
-	if surplus < want {
-		want = surplus
-	}
+	want = min(want, s.sched.Depth()-s.cfg.Workers)
 	if want < 1 {
-		s.mu.Unlock()
 		return nil
 	}
-	items := s.sched.Steal(want)
-	granted := make([]cluster.StolenJob, 0, len(items))
-	var followers []*Job
-	for _, it := range items {
+	var grant []queue.Record
+	for _, it := range s.sched.Steal(want) {
 		j := it.Payload.(*Job)
 		j.mu.Lock()
 		terminal := j.state.Terminal()
@@ -207,55 +215,24 @@ func (s *Server) stealVictim(want int, thief string) []cluster.StolenJob {
 			// tombstoned it. Popping it here just swept it out.
 			continue
 		}
-		specJSON, err := json.Marshal(j.spec)
-		if err != nil {
-			continue
-		}
+		grant = append(grant, j.record())
 		j.item = nil
-		granted = append(granted, cluster.StolenJob{
-			Key:      j.key,
-			Flow:     it.Flow,
-			Class:    string(it.Class),
-			Priority: it.Priority,
-			Spec:     specJSON,
-		})
-		followers = append(followers, j)
+		if j.journaled {
+			_ = s.journal.Intent(j.key, thief)
+		}
 		s.metrics.JobsDonated.Add(1)
 		s.wg.Add(1)
-	}
-	s.mu.Unlock()
-	for _, j := range followers {
-		// Stamp the journal record with the thief's address before the
-		// grant leaves. The job stays pending here until its result lands
-		// or a reclaim re-accepts it, so no crash schedule leaves the job
-		// in nobody's WAL.
-		s.journalIntent(j, thief)
 		go s.awaitStolen(j, thief)
 	}
-	return granted
-}
-
-// journalIntent re-stamps j's pending journal record with the thief's
-// address, only if j owns its record. Ownership is not cleared: the
-// record stays pending until j settles here (the follower fetched the
-// thief's result, or j was cancelled) or a reclaim re-accepts it.
-func (s *Server) journalIntent(j *Job, thief string) {
-	if s.journal == nil {
-		return
-	}
-	s.mu.Lock()
-	owned := j.journaled
-	s.mu.Unlock()
-	if owned {
-		_ = s.journal.Intent(j.key, thief)
-	}
+	return grant
 }
 
 // awaitStolen is the victim's remote follower for one donated job: it
-// polls the thief for the result, settles the local Job when it lands,
-// and falls back to local recompute if the thief provably lost the job.
-// The job stays "queued" (with stolen_by set) while remote, so API
-// cancel keeps working through the normal queued-cancel path.
+// polls the thief for the result and settles the local Job when it
+// lands. The job stays "queued" (with stolen_by set) while remote, so
+// API cancel keeps working through the normal queued-cancel path. The
+// follower stops once stolen_by no longer names its thief: a give-back
+// reclaimed the job (adoptStolen), and it runs here.
 //
 // The reclaim rule is the liveness half of the handoff: a
 // poll that errors AND a clean miss from a thief with no record of the
@@ -280,10 +257,16 @@ func (s *Server) awaitStolen(j *Job, thief string) {
 			return
 		case <-tick.C:
 		}
+		j.mu.Lock()
+		following := j.stolenBy == thief
+		j.mu.Unlock()
+		if !following {
+			return
+		}
 		body, found, err := s.cluster.FetchFrom(j.ctx, thief, j.key)
 		if found {
 			// The result exists now: settling tombstones the intent.
-			s.settlePeerResult(j, body)
+			s.settlePeerResult(j, body, thief)
 			return
 		}
 		if err == nil {
@@ -297,83 +280,94 @@ func (s *Server) awaitStolen(j *Job, thief string) {
 				continue
 			}
 		}
-		fails++
-		if fails < s.cfg.StealPollFailures {
-			continue
-		}
-		// Thief presumed to have lost the job: take it back. Disowning the
-		// intent record makes enqueue re-stamp it as a plain accept
-		// (reclaiming must survive a crash here too), and the job
-		// re-enters its own flow past MaxDepth — accepted work is never
-		// dropped. The state is checked under s.mu: a cancel that settles
-		// the job after this check does its bookkeeping after the
-		// enqueue, one that settled it before has already done it.
-		s.mu.Lock()
-		j.mu.Lock()
-		j.stolenBy = ""
-		settled := j.state.Terminal()
-		j.mu.Unlock()
-		if settled {
-			s.mu.Unlock()
+		if fails++; fails >= s.cfg.StealPollFailures {
+			// Thief presumed to have lost the job: take it back.
+			s.reclaim(j)
 			return
 		}
-		j.journaled = false
-		err = s.enqueue(j, time.Now())
-		s.mu.Unlock()
-		if err != nil {
-			// Draining: the job settles cancelled for this process's
-			// clients, but its intent record stays pending, so a restart
-			// replays the intent and the job still runs somewhere —
-			// journal ownership is not discarded on the way down.
-			s.settle(j, StateQueued, StateCancelled, nil, "cluster: thief lost during drain")
-			return
-		}
-		s.metrics.JobsReclaimed.Add(1)
-		return
 	}
 }
 
+// reclaim takes a donated job back into this node's queue: the
+// follower calls it once its thief has presumably lost the job, and
+// adoptStolen when a grant hands this node a job it donated. It reports
+// false and leaves j alone when j is no longer donated — settled, or
+// already reclaimed. The follower and a reclaim never both act on one
+// job: whichever clears stolen_by first wins. Disowning the intent
+// record makes enqueue re-stamp it as a plain accept (reclaiming must
+// survive a crash too), and the job re-enters its own flow past
+// MaxDepth — accepted work is never dropped. The state is checked under
+// s.mu: a cancel that settles the job after this check does its
+// bookkeeping after the enqueue, one that settled it before has already
+// done it.
+func (s *Server) reclaim(j *Job) bool {
+	s.mu.Lock()
+	j.mu.Lock()
+	donated := j.stolenBy != "" && !j.state.Terminal()
+	j.stolenBy = ""
+	j.mu.Unlock()
+	if !donated {
+		s.mu.Unlock()
+		return false
+	}
+	j.journaled = false
+	err := s.enqueue(j, time.Now())
+	s.mu.Unlock()
+	if err != nil {
+		// Draining: the job settles cancelled for this process's
+		// clients, but its intent record stays pending, so a restart
+		// replays the intent and the job still runs somewhere —
+		// journal ownership is not discarded on the way down.
+		s.settle(j, StateQueued, StateCancelled, nil, "cluster: donated job reclaimed during drain")
+		return false
+	}
+	s.metrics.JobsReclaimed.Add(1)
+	return true
+}
+
 // adoptStolen admits jobs granted by a victim into this node's own
-// queue, registry, and journal as accepted work, and returns how many
-// entered the local queue. Keys already settled or in flight locally
-// are skipped — the victim's follower finds the body through the
-// results endpoint either way. Nothing goes back to the victim: it
-// keeps its intent record until its follower fetches the result, so a
-// thief without a durable journal strands nothing.
-func (s *Server) adoptStolen(jobs []cluster.StolenJob) int {
+// queue, registry, and journal as accepted work, each with the
+// admission time its record carries, and returns how many entered the
+// local queue. Keys already settled locally, or held by a local job
+// that is not a steal follower, are skipped — the victim's follower
+// finds the body through the results endpoint either way. A key held
+// by this node's own steal follower is a job it donated coming back:
+// it is reclaimed and runs here, and the node that gave it back follows
+// this one, so no cycle of followers can close. Nothing goes back to
+// the victim: it keeps its intent record until its follower fetches the
+// result, so a thief without a durable journal strands nothing.
+func (s *Server) adoptStolen(grant []queue.Record) int {
 	adopted := 0
-	for _, sj := range jobs {
-		var spec JobSpec
-		if err := json.Unmarshal(sj.Spec, &spec); err != nil {
-			continue
-		}
-		canon, err := spec.Canonicalize()
-		if err != nil {
-			continue
-		}
+	for _, rec := range grant {
 		// Adopt under our own canonical key. On version skew it may
 		// differ from the victim's; the victim's follower then falls back
 		// to recompute — degraded, never wrong.
-		key := canon.Key()
-		if _, ok := s.local(key); ok {
-			continue
-		}
-		j := s.newJob(canon, key, queue.Class(sj.Class), sj.Flow)
-		s.mu.Lock()
-		if s.inflight[key] != nil {
-			s.mu.Unlock()
-			j.cancel()
-			continue
-		}
-		// Replay admission: a steal this node asked for must not bounce
-		// off its own MaxDepth.
-		err = s.enqueue(j, time.Now())
-		s.mu.Unlock()
+		j, accepted, err := s.jobOf(rec)
 		if err != nil {
 			continue
 		}
-		s.metrics.JobsStolen.Add(1)
-		adopted++
+		if _, ok := s.local(j.key); ok {
+			j.cancel()
+			continue
+		}
+		s.mu.Lock()
+		held := s.inflight[j.key]
+		if held == nil {
+			// Replay admission: a steal this node asked for must not
+			// bounce off its own MaxDepth.
+			err = s.enqueue(j, accepted)
+		}
+		s.mu.Unlock()
+		switch {
+		case held != nil:
+			j.cancel()
+			if s.reclaim(held) {
+				adopted++
+			}
+		case err == nil:
+			s.metrics.JobsStolen.Add(1)
+			adopted++
+		}
 	}
 	return adopted
 }

@@ -254,7 +254,8 @@ type Job struct {
 	coalesced bool
 	// stolenBy is the peer currently computing this job after a steal
 	// handoff; the job stays "queued" here while its follower goroutine
-	// (awaitStolen) watches the thief.
+	// (awaitStolen) watches the thief, until the result lands or a
+	// reclaim clears it.
 	stolenBy string
 	body     json.RawMessage
 	errMsg   string
@@ -383,6 +384,9 @@ type Server struct {
 	// new read-repairs are skipped, not queued — the anti-entropy loop
 	// remains the backstop.
 	rrSem chan struct{}
+	// largeSlot is the one slot a submission with an unsized or large
+	// body is decoded and admitted in (oneLarge).
+	largeSlot chan struct{}
 }
 
 // New starts a Server with cfg's worker pool already running. When a
@@ -404,6 +408,7 @@ func New(cfg Config) *Server {
 		sweeps:     make(map[string]*Sweep),
 		hintActive: make(map[string]bool),
 		rrSem:      make(chan struct{}, readRepairBudget),
+		largeSlot:  make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 		sched: queue.NewSched(queue.SchedOptions{
 			MaxDepth: cfg.QueueDepth,
@@ -597,23 +602,27 @@ func (s *Server) enqueue(j *Job, accepted time.Time) error {
 	s.jobs[j.id] = j
 	s.inflight[j.key] = j
 	j.item = it
-	if s.journal == nil || j.journaled {
-		return nil
+	if s.journal != nil && !j.journaled {
+		j.journaled = true
+		_ = s.journal.Accept(j.record())
 	}
-	specJSON, err := json.Marshal(j.spec)
-	if err != nil {
-		return nil
-	}
-	j.journaled = true
-	_ = s.journal.Accept(queue.Record{
+	return nil
+}
+
+// record is the one envelope of a pending job: its accept record, which
+// the journal keeps and a steal grant hands a thief, admission time
+// included. Called under s.mu while j.item is set.
+func (j *Job) record() queue.Record {
+	spec, _ := json.Marshal(j.spec) // a canonical spec always encodes
+	return queue.Record{
+		Op:       queue.OpAccept,
 		Key:      j.key,
 		Flow:     j.flow,
 		Class:    string(j.class),
 		Priority: j.spec.Priority,
-		Spec:     specJSON,
-		At:       it.Enqueued.UnixNano(),
-	})
-	return nil
+		Spec:     spec,
+		At:       j.item.Enqueued.UnixNano(),
+	}
 }
 
 // settle is the one way a job settles: it moves j from the state from
@@ -694,19 +703,13 @@ func (s *Server) replayJournal() {
 		return
 	}
 	for _, rec := range s.journal.Pending() {
-		var spec JobSpec
-		err := json.Unmarshal(rec.Spec, &spec)
-		if err == nil {
-			spec, err = spec.Canonicalize()
-		}
+		j, accepted, err := s.jobOf(rec)
 		if err != nil {
 			_ = s.journal.Settle(rec.Key)
 			continue
 		}
-		key := spec.Key()
 		s.metrics.QueueReplayed.Add(1)
-		j := s.newJob(spec, key, queue.Class(rec.Class), rec.Flow)
-		j.journaled = key == rec.Key
+		j.journaled = j.key == rec.Key
 		if j.journaled && rec.Op == queue.OpIntent && rec.Thief != "" && s.cluster != nil {
 			// The crash interrupted a steal handoff before the thief's
 			// result landed here. The thief may well hold the job (it
@@ -717,17 +720,33 @@ func (s *Server) replayJournal() {
 			// re-enqueueing would run the key twice.
 			j.stolenBy = rec.Thief
 		}
-		accepted := time.Now()
-		if rec.At > 0 {
-			accepted = time.Unix(0, rec.At)
-		}
 		// Replay runs before Drain can begin, and accepted work bypasses
 		// MaxDepth, so submit refuses nothing here.
 		_ = s.submit(j, accepted)
-		if key != rec.Key {
+		if j.key != rec.Key {
 			_ = s.journal.Settle(rec.Key)
 		}
 	}
+}
+
+// jobOf is the one reader of a pending job's record, for journal replay
+// and adopted steals: a job under the canonical key of the record's
+// spec, in the record's flow and class, and the admission time it
+// carries — now for a record without one, as an older victim grants.
+func (s *Server) jobOf(rec queue.Record) (*Job, time.Time, error) {
+	var spec JobSpec
+	err := json.Unmarshal(rec.Spec, &spec)
+	if err == nil {
+		spec, err = spec.Canonicalize()
+	}
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	accepted := time.Now()
+	if rec.At > 0 {
+		accepted = time.Unix(0, rec.At)
+	}
+	return s.newJob(spec, spec.Key(), queue.Class(rec.Class), rec.Flow), accepted, nil
 }
 
 // serveCached settles a freshly created job inline with a memoized body
@@ -981,7 +1000,7 @@ func (s *Server) runJob(j *Job) {
 	// them off the request path.
 	if s.cluster != nil {
 		if body, from, ok := s.cluster.FetchResult(ctx, j.key); ok {
-			s.settlePeerResult(j, body)
+			s.settlePeerResult(j, body, "")
 			s.readRepair(j.key, body, from)
 			return
 		}

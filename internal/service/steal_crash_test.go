@@ -42,6 +42,12 @@ import (
 //	    replay follows it to a peer hit
 //	P7  T's journal is degraded when it adopts, both die → T has no
 //	    record of K; V's replay reclaims and runs it
+//	P8  T gives K back to V (no crash)      → V reclaims and runs K; T
+//	    follows V to a peer hit
+//	P9  K goes A→B→C→A (no crash)           → A reclaims and runs K; C
+//	    follows A, B follows C
+//	P10 T gives K back, V dies before running it → V's replay holds a
+//	    plain accept and runs K; T follows V
 //
 // Kill fidelity: the journal handle is closed first (appends stop
 // reaching disk, like a SIGKILL), the HTTP handler is swapped out
@@ -52,6 +58,7 @@ import (
 const (
 	crashBlockerSeed      = 424242
 	crashThiefBlockerSeed = 424243
+	crashThirdBlockerSeed = 424244
 	crashStolenSeedA      = 1001
 	crashStolenSeedB      = 1002
 )
@@ -241,7 +248,7 @@ func saturate(t *testing.T, v *crashNode) (ids map[string]string) {
 // saturateAndGrant saturates the victim, then extracts a one-job grant
 // for the thief's address, journaling the intent. Returns the grant and
 // the submitted jobs' ids by key.
-func saturateAndGrant(t *testing.T, v *crashNode, thiefAddr string) (grant []cluster.StolenJob, ids map[string]string) {
+func saturateAndGrant(t *testing.T, v *crashNode, thiefAddr string) (grant []queue.Record, ids map[string]string) {
 	t.Helper()
 	ids = saturate(t, v)
 	grant = v.s.stealVictim(1, thiefAddr)
@@ -252,10 +259,53 @@ func saturateAndGrant(t *testing.T, v *crashNode, thiefAddr string) (grant []clu
 }
 
 // adopt has the thief adopt a one-job grant.
-func adopt(t *testing.T, th *crashNode, grant []cluster.StolenJob) {
+func adopt(t *testing.T, th *crashNode, grant []queue.Record) {
 	t.Helper()
 	if got := th.s.adoptStolen(grant); got != 1 {
 		t.Fatalf("thief adopted %d jobs, want 1", got)
+	}
+}
+
+// pin occupies a node's single worker with its gated blocker of seed.
+func pin(t *testing.T, n *crashNode, seed uint64) {
+	t.Helper()
+	if _, err := n.s.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: seed}); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "blocker to occupy the worker", func() bool { return n.s.running.Load() == 1 })
+}
+
+// passOn has a pinned node adopt a one-job grant for key, queue one
+// more job of its own behind it (seed) so it has a surplus to donate,
+// and grant key onward to next.
+func passOn(t *testing.T, n *crashNode, grant []queue.Record, seed uint64, next string) []queue.Record {
+	t.Helper()
+	adopt(t, n, grant)
+	if _, err := n.s.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: seed}); err != nil {
+		t.Fatal(err)
+	}
+	onward := n.s.stealVictim(1, next)
+	if len(onward) != 1 || onward[0].Key != grant[0].Key {
+		t.Fatalf("onward grant %+v, want the adopted key %s", onward, grant[0].Key[:16])
+	}
+	return onward
+}
+
+// settlesDone waits for node n's job for key to settle and checks that
+// it is done, a peer hit when hit is set.
+func settlesDone(t *testing.T, n *crashNode, key string, hit bool) {
+	t.Helper()
+	id := ""
+	for _, st := range n.s.Jobs() {
+		if st.Key == key {
+			id = st.ID
+		}
+	}
+	if id == "" {
+		t.Fatalf("%s has no job for the stolen key", n.addr)
+	}
+	if st := waitDone(t, n.s, id); st.State != StateDone || st.Cached != hit {
+		t.Fatalf("%s job for stolen key: %s cached=%v (%s), want done cached=%v", n.addr, st.State, st.Cached, st.Error, hit)
 	}
 }
 
@@ -267,18 +317,7 @@ func assertPeerHit(t *testing.T, v *crashNode, key string) {
 	if got := v.s.Metrics().QueueReplayed.Load(); got != 3 {
 		t.Fatalf("victim replayed %d records, want 3 (blocker, filler, intent)", got)
 	}
-	id := ""
-	for _, st := range v.s.Jobs() {
-		if st.Key == key {
-			id = st.ID
-		}
-	}
-	if id == "" {
-		t.Fatal("victim replayed no job for the stolen key")
-	}
-	if st := waitDone(t, v.s, id); st.State != StateDone || !st.Cached {
-		t.Fatalf("victim job for stolen key: %s cached=%v (%s), want a done peer hit", st.State, st.Cached, st.Error)
-	}
+	settlesDone(t, v, key, true)
 	if got := v.s.Metrics().PeerHits.Load(); got != 1 {
 		t.Fatalf("victim peer hits = %d, want 1", got)
 	}
@@ -421,10 +460,7 @@ func TestStealCrashSchedule(t *testing.T) {
 		peers := []string{v.addr, th.addr}
 		v.boot(cc, peers, Config{Workers: 1, StealPollInterval: 25 * time.Millisecond, StealPollFailures: 1000}, crashBlockerSeed)
 		th.boot(cc, peers, Config{Workers: 1}, crashThiefBlockerSeed)
-		if _, err := th.s.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: crashThiefBlockerSeed}); err != nil {
-			t.Fatal(err)
-		}
-		waitUntil(t, "thief's blocker to occupy its worker", func() bool { return th.s.running.Load() == 1 })
+		pin(t, th, crashThiefBlockerSeed)
 		grant, ids := saturateAndGrant(t, v, th.addr)
 		k := grant[0].Key
 
@@ -499,4 +535,159 @@ func TestStealCrashSchedule(t *testing.T) {
 		assertReclaimed(t, v, cc, k)
 		cc.assertNoDoubles(t)
 	})
+
+	// P8: V grants K to T, T adopts it behind its own pinned blocker and
+	// one more queued job, and V, now idle, steals from T and is handed
+	// K back. V's own follower holds the key: V reclaims K and runs it,
+	// and T, whose intent now names V, follows V to a peer hit.
+	t.Run("P8_give_back", func(t *testing.T) {
+		cc := newRunCounter()
+		v, th := newCrashNode(t), newCrashNode(t)
+		peers := []string{v.addr, th.addr}
+		v.boot(cc, peers, Config{Workers: 1, StealPollInterval: 25 * time.Millisecond, StealPollFailures: 1000}, crashBlockerSeed)
+		th.boot(cc, peers, Config{Workers: 1, StealPollInterval: 25 * time.Millisecond, StealPollFailures: 1000}, crashThiefBlockerSeed)
+		pin(t, th, crashThiefBlockerSeed)
+		grant, _ := saturateAndGrant(t, v, th.addr)
+		k := grant[0].Key
+		adopt(t, th, grant)
+		if _, err := th.s.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: crashThirdBlockerSeed}); err != nil {
+			t.Fatal(err)
+		}
+
+		v.openGate()
+		waitUntil(t, "victim to go idle", func() bool { return v.s.running.Load() == 0 && v.s.sched.Depth() == 0 })
+		v.s.stealRound()
+		if got := v.s.Metrics().JobsReclaimed.Load(); got != 1 {
+			t.Fatalf("victim reclaimed %d jobs, want 1 (K given back)", got)
+		}
+		if got := v.s.Metrics().JobsStolen.Load(); got != 0 {
+			t.Fatalf("victim counted %d stolen jobs, want 0: a given-back job is reclaimed", got)
+		}
+		settlesDone(t, v, k, false)
+		settlesDone(t, th, k, true)
+		th.openGate()
+		if got := cc.get(k); got != 1 {
+			t.Fatalf("stolen key ran %d engines, want 1", got)
+		}
+		cc.assertNoDoubles(t)
+	})
+
+	// P9: K goes round a cycle, A→B→C→A, each node pinned with a job of
+	// its own queued behind K. A's follower holds K when C's grant hands
+	// it back: A reclaims and runs it once, C follows A and B follows C.
+	t.Run("P9_cycle", func(t *testing.T) {
+		cc := newRunCounter()
+		a, b, c := newCrashNode(t), newCrashNode(t), newCrashNode(t)
+		peers := []string{a.addr, b.addr, c.addr}
+		cfg := Config{Workers: 1, StealPollInterval: 25 * time.Millisecond, StealPollFailures: 1000}
+		a.boot(cc, peers, cfg, crashBlockerSeed)
+		b.boot(cc, peers, cfg, crashThiefBlockerSeed)
+		c.boot(cc, peers, cfg, crashThirdBlockerSeed)
+		pin(t, b, crashThiefBlockerSeed)
+		pin(t, c, crashThirdBlockerSeed)
+		grant, _ := saturateAndGrant(t, a, b.addr)
+		k := grant[0].Key
+		grant = passOn(t, b, grant, crashStolenSeedB+10, c.addr)
+		grant = passOn(t, c, grant, crashStolenSeedB+20, a.addr)
+
+		adopt(t, a, grant)
+		if got := a.s.Metrics().JobsReclaimed.Load(); got != 1 {
+			t.Fatalf("A reclaimed %d jobs, want 1", got)
+		}
+		for _, n := range []*crashNode{a, b, c} {
+			n.openGate()
+		}
+		settlesDone(t, a, k, false)
+		settlesDone(t, c, k, true)
+		settlesDone(t, b, k, true)
+		if got := cc.get(k); got != 1 {
+			t.Fatalf("stolen key ran %d engines, want 1", got)
+		}
+		cc.assertNoDoubles(t)
+	})
+
+	// P10: T gives K back while V's worker is still pinned, and V dies
+	// before running it. The reclaim re-stamped V's intent as a plain
+	// accept, so V's replay runs K; T's follower, whose budget outlasts
+	// the restart, follows V to a peer hit.
+	t.Run("P10_victim_dies_after_taking_back", func(t *testing.T) {
+		cc := newRunCounter()
+		v, th := newCrashNode(t), newCrashNode(t)
+		peers := []string{v.addr, th.addr}
+		v.boot(cc, peers, Config{Workers: 1, StealPollInterval: time.Hour, StealPollFailures: 4}, crashBlockerSeed)
+		th.boot(cc, peers, Config{Workers: 1, StealPollInterval: 25 * time.Millisecond, StealPollFailures: 1000}, crashThiefBlockerSeed)
+		pin(t, th, crashThiefBlockerSeed)
+		grant, _ := saturateAndGrant(t, v, th.addr)
+		k := grant[0].Key
+		adopt(t, v, passOn(t, th, grant, crashThirdBlockerSeed, v.addr))
+		v.kill() // K is a plain accept in V's WAL and ran 0 times
+
+		v.boot(cc, peers, Config{Workers: 1})
+		replayed := false
+		for _, rec := range v.jl.Pending() {
+			if rec.Key == k {
+				replayed = true
+				if rec.Op != queue.OpAccept || rec.Thief != "" {
+					t.Fatalf("victim replayed K as op %q thief %q, want a plain accept", rec.Op, rec.Thief)
+				}
+			}
+		}
+		if !replayed {
+			t.Fatal("victim's journal lost K")
+		}
+		settlesDone(t, v, k, false)
+		settlesDone(t, th, k, true)
+		th.openGate()
+		if got := cc.get(k); got != 1 {
+			t.Fatalf("stolen key ran %d engines, want 1", got)
+		}
+		cc.assertNoDoubles(t)
+	})
+}
+
+// TestAdoptedJobKeepsItsAdmissionTime checks the envelope across a
+// steal: the thief journals an adopted job with the admission time the
+// victim's grant carries, and a grant without one — an older victim's,
+// with neither op nor at — with the time it was adopted.
+func TestAdoptedJobKeepsItsAdmissionTime(t *testing.T) {
+	cc := newRunCounter()
+	v, th := newCrashNode(t), newCrashNode(t)
+	peers := []string{v.addr, th.addr}
+	v.boot(cc, peers, Config{Workers: 1, StealPollInterval: 25 * time.Millisecond, StealPollFailures: 4}, crashBlockerSeed)
+	th.boot(cc, peers, Config{Workers: 1}, crashThiefBlockerSeed)
+	pin(t, th, crashThiefBlockerSeed)
+	grant, _ := saturateAndGrant(t, v, th.addr)
+	if grant[0].Op != queue.OpAccept || grant[0].At <= 0 {
+		t.Fatalf("grant op %q at %d, want the victim's accept record", grant[0].Op, grant[0].At)
+	}
+	older := grant[0]
+	older.Op, older.At = "", 0
+	older.Spec = json.RawMessage(`{"protocol": "a", "graph": "pair", "trials": 30, "seed": 7}`)
+	before := time.Now()
+	if got := th.s.adoptStolen([]queue.Record{grant[0], older}); got != 2 {
+		t.Fatalf("thief adopted %d jobs, want 2", got)
+	}
+	after := time.Now()
+	th.kill()
+
+	jl, err := queue.OpenJournal(th.dir, queue.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	at := map[string]int64{}
+	for _, rec := range jl.Pending() {
+		at[rec.Key] = rec.At
+	}
+	if got := at[grant[0].Key]; got != grant[0].At {
+		t.Fatalf("thief journaled the granted job at %d, want the victim's %d", got, grant[0].At)
+	}
+	olderSpec := JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: 7}
+	canon, err := olderSpec.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := at[canon.Key()]; got < before.UnixNano() || got > after.UnixNano() {
+		t.Fatalf("thief journaled the older grant at %d, want its adoption time in [%d, %d]", got, before.UnixNano(), after.UnixNano())
+	}
 }
