@@ -1,5 +1,6 @@
 // Command coordd is the experiment-serving daemon: it accepts JSON job
-// specs over HTTP, schedules them on a bounded worker pool, memoizes
+// specs over HTTP, schedules them on bounded worker pools, one per
+// scheduling class (interactive jobs, sweep cells), memoizes
 // completed results by canonical spec key, and reports live progress
 // and Prometheus metrics. See internal/service for the API.
 //
@@ -58,14 +59,13 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) int {
 	fs := flag.NewFlagSet("coordd", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8344", "listen address")
-		workers      = fs.Int("workers", 2, "concurrent jobs")
+		workers      = fs.Int("workers", 2, "concurrent jobs per scheduling class: interactive jobs and sweep cells each have this many workers")
 		queueDepth   = fs.Int("queue", 64, "pending jobs per scheduling class; a full class answers 429, as does a sweep while this many jobs are pending in all")
 		cacheSize    = fs.Int("cache", 1024, "result cache entries")
 		jobTimeout   = fs.Duration("job-timeout", 5*time.Minute, "per-job deadline")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "shutdown grace period before in-flight jobs are cancelled")
 		storeDir     = fs.String("store-dir", "", "on-disk result store directory; empty = memory-only (results die with the process)")
 		queueDir     = fs.String("queue-dir", "", "on-disk pending-queue journal directory; empty = accepted-but-unstarted jobs die with the process")
-		interWeight  = fs.Int("interactive-weight", 1, "interactive pops per sweep pop in the fair scheduler")
 		storeMax     = fs.Int64("store-max-bytes", 1<<30, "result store size budget in bytes (0 = unlimited)")
 		storeProbe   = fs.Duration("store-probe", 10*time.Second, "degraded-store recovery probe interval (0 = never probe; rescan still recovers)")
 		sweepKeep    = fs.Int("sweep-retention", 256, "settled sweeps kept queryable before eviction")
@@ -95,10 +95,6 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) int {
 	}
 	if *jobKeep < 1 || *wdInterval < 0 || *wdGrace <= 0 {
 		fmt.Fprintln(os.Stderr, "coordd: job-retention must be >= 1, watchdog-interval >= 0 and watchdog-grace > 0")
-		return 2
-	}
-	if *interWeight < 1 {
-		fmt.Fprintln(os.Stderr, "coordd: interactive-weight must be >= 1")
 		return 2
 	}
 	if *peerTimeout <= 0 || *stealEvery < 0 {
@@ -239,23 +235,22 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) int {
 	}
 
 	srv := service.New(service.Config{
-		Workers:           *workers,
-		QueueDepth:        *queueDepth,
-		InteractiveWeight: *interWeight,
-		CacheSize:         *cacheSize,
-		JobTimeout:        *jobTimeout,
-		Store:             st,
-		Journal:           jl,
-		SweepRetention:    *sweepKeep,
-		JobRetention:      *jobKeep,
-		WatchdogInterval:  off(*wdInterval),
-		WatchdogGrace:     *wdGrace,
-		Cluster:           cl,
-		StealInterval:     off(*stealEvery),
-		RepairInterval:    off(*repairEvery),
-		Hints:             hl,
-		ProbeInterval:     off(*probeEvery),
-		ProbeMisses:       *probeMisses,
+		Workers:          *workers,
+		QueueDepth:       *queueDepth,
+		CacheSize:        *cacheSize,
+		JobTimeout:       *jobTimeout,
+		Store:            st,
+		Journal:          jl,
+		SweepRetention:   *sweepKeep,
+		JobRetention:     *jobKeep,
+		WatchdogInterval: off(*wdInterval),
+		WatchdogGrace:    *wdGrace,
+		Cluster:          cl,
+		StealInterval:    off(*stealEvery),
+		RepairInterval:   off(*repairEvery),
+		Hints:            hl,
+		ProbeInterval:    off(*probeEvery),
+		ProbeMisses:      *probeMisses,
 	})
 	if st != nil {
 		fmt.Fprintf(out, "coordd: result store %s (%d entries, budget %d bytes)\n", *storeDir, st.Len(), *storeMax)

@@ -37,9 +37,11 @@ func latestSegment(t *testing.T, dir string) string {
 
 // TestSoakCrashRestartRequeueExactlyOnce is the crash soak for the
 // durable pending queue: a daemon is "killed" (abandoned un-drained)
-// with a non-empty backlog — one running gate job, three accepted
-// singletons, and a four-cell sweep, all journaled but unstarted — and
-// the crash additionally tears the journal's final append mid-line. A
+// with a non-empty backlog — a running gate job in each worker pool
+// (an interactive job and the first cell of a four-cell sweep), three
+// accepted singletons and the sweep's other cells, all journaled and
+// none finished — and the crash additionally tears the journal's final
+// append mid-line. A
 // second daemon over the same queue directory must:
 //
 //   - recover every fully-written accept (the torn tail is dropped,
@@ -63,7 +65,7 @@ func TestSoakCrashRestartRequeueExactlyOnce(t *testing.T) {
 		WatchdogInterval: -1,
 		WrapEngine: func(name string, next service.RunFunc) service.RunFunc {
 			return func(ctx context.Context, spec service.JobSpec, workers int, progress func(mc.Snapshot)) (json.RawMessage, error) {
-				if spec.Seed == 666 {
+				if spec.Seed == 666 || spec.Seed == 201 {
 					<-block
 				}
 				return next(ctx, spec, workers, progress)
@@ -71,8 +73,9 @@ func TestSoakCrashRestartRequeueExactlyOnce(t *testing.T) {
 		},
 	})
 
-	// The gate job holds the only worker so everything after it stays
-	// accepted-but-unstarted.
+	// The gate job holds the interactive pool's only worker, and the
+	// sweep's first cell (seed 201) will hold the sweep pool's, so
+	// everything after them stays accepted-but-unstarted.
 	gate, err := srv1.Submit(soakSpec(666))
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +206,13 @@ func TestSoakCrashRestartRequeueExactlyOnce(t *testing.T) {
 	}
 	if failed, cancelled := srv2.Metrics().JobsFailed.Load(), srv2.Metrics().JobsCancelled.Load(); failed != 0 || cancelled != 0 {
 		t.Fatalf("failed=%d cancelled=%d after replay, want 0/0", failed, cancelled)
+	}
+	// A job shows settled before its settle writes the tombstone; Drain
+	// waits out the workers, so every tombstone has landed after it.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv2.Drain(ctx); err != nil {
+		t.Fatal(err)
 	}
 	if st := j2.Stats(); st.Pending != 0 {
 		t.Fatalf("journal pending = %d after settlement, want 0", st.Pending)

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// The DRR ring must never retain an empty flow: after any interleaving
+// The round-robin ring must never retain an empty flow: after any interleaving
 // of pushes, pops, and removes, every registered flow still holds at
 // least one item, and a fully drained scheduler registers zero flows.
 // This is the property that keeps a long-lived daemon's ring from
@@ -37,7 +37,6 @@ func TestFlowsReapedPropertyRandomInterleaving(t *testing.T) {
 			it := &Item{
 				Key:      fmt.Sprintf("k%d", step),
 				Flow:     fmt.Sprintf("sw%d", r.Intn(8)),
-				Class:    ClassSweep,
 				Priority: r.Intn(5) - 2,
 			}
 			if err := s.Push(it); err != nil {
@@ -86,7 +85,7 @@ func TestFlowsReapedOnSweepCancelWithdrawal(t *testing.T) {
 		flow := fmt.Sprintf("sw%06d", sweep)
 		cells := make([]*Item, 8)
 		for i := range cells {
-			cells[i] = &Item{Key: fmt.Sprintf("%s-c%d", flow, i), Flow: flow, Class: ClassSweep}
+			cells[i] = &Item{Key: fmt.Sprintf("%s-c%d", flow, i), Flow: flow}
 			if err := s.Push(cells[i]); err != nil {
 				t.Fatal(err)
 			}
@@ -106,49 +105,38 @@ func TestFlowsReapedOnSweepCancelWithdrawal(t *testing.T) {
 	}
 }
 
-// Removing the last item of the cursor flow must not leak its unspent
-// DRR credit to the flow that slides into its slot: the next flow gets
-// a fresh weight allotment, preserving fair alternation.
-func TestRemoveResetsCursorFlowCredit(t *testing.T) {
-	s := NewSched(SchedOptions{
-		MaxDepth: 100,
-		Weight: func(c Class) int {
-			if c == ClassInteractive {
-				return 4
-			}
-			return 1
-		},
-	})
-	// Interactive flow first (cursor lands on it), then two sweep flows.
-	inter := make([]*Item, 3)
-	for i := range inter {
-		inter[i] = &Item{Key: fmt.Sprintf("i%d", i), Flow: "interactive", Class: ClassInteractive}
-		if err := s.Push(inter[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
+// Withdrawing the last item of the flow at the cursor must hand its
+// turn to the flow that slides into its ring slot, not skip that flow:
+// the remaining flows keep strict alternation.
+func TestRemoveOfCursorFlowKeepsRoundRobin(t *testing.T) {
+	s := NewSched(SchedOptions{MaxDepth: 100})
+	// Ring order swA, mid, swB.
+	var mid []*Item
 	for i := 0; i < 3; i++ {
-		if err := s.Push(&Item{Key: fmt.Sprintf("a%d", i), Flow: "swA", Class: ClassSweep}); err != nil {
+		if err := s.Push(&Item{Key: fmt.Sprintf("a%d", i), Flow: "swA"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Push(&Item{Key: fmt.Sprintf("b%d", i), Flow: "swB", Class: ClassSweep}); err != nil {
+		it := &Item{Key: fmt.Sprintf("m%d", i), Flow: "mid"}
+		if err := s.Push(it); err != nil {
+			t.Fatal(err)
+		}
+		mid = append(mid, it)
+		if err := s.Push(&Item{Key: fmt.Sprintf("b%d", i), Flow: "swB"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// One pop charges the interactive flow's credit (4 → 3), then the
-	// remaining interactive items are cancel-withdrawn, emptying the
-	// cursor flow with credit outstanding.
-	it, _ := s.Next()
-	if it.Class != ClassInteractive {
-		t.Fatalf("first pop should be interactive, got %s/%s", it.Flow, it.Key)
+	// One pop from swA moves the cursor onto mid, whose items are then
+	// all cancel-withdrawn.
+	if first, _ := s.Next(); first.Flow != "swA" {
+		t.Fatalf("first pop from %s, want swA", first.Flow)
 	}
-	s.Remove(inter[1])
-	s.Remove(inter[2])
-	// The credit must not carry over: the sweep flows (weight 1) should
-	// now alternate strictly instead of one of them burning the leaked
-	// interactive credit in a 3-pop run.
-	var order []string
-	for i := 0; i < 6; i++ {
+	for _, it := range mid {
+		if !s.Remove(it) {
+			t.Fatalf("Remove(%s) = false while pending", it.Key)
+		}
+	}
+	order := []string{"swA"}
+	for i := 0; i < 5; i++ {
 		it, ok := s.Next()
 		if !ok {
 			t.Fatal("unexpected close")
@@ -157,7 +145,7 @@ func TestRemoveResetsCursorFlowCredit(t *testing.T) {
 	}
 	for i := 1; i < len(order); i++ {
 		if order[i] == order[i-1] {
-			t.Fatalf("sweep flows did not alternate (leaked credit): %v", order)
+			t.Fatalf("sweep flows did not alternate after the cursor flow left: %v", order)
 		}
 	}
 }
@@ -165,11 +153,11 @@ func TestRemoveResetsCursorFlowCredit(t *testing.T) {
 func TestStealPopsInDRROrderAndReapsFlows(t *testing.T) {
 	s := NewSched(SchedOptions{MaxDepth: 100})
 	for i := 0; i < 3; i++ {
-		if err := s.Push(&Item{Key: fmt.Sprintf("s%d", i), Flow: "sw1", Class: ClassSweep, Enqueued: time.Unix(int64(i), 0)}); err != nil {
+		if err := s.Push(&Item{Key: fmt.Sprintf("s%d", i), Flow: "sw1", Enqueued: time.Unix(int64(i), 0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Push(&Item{Key: "hot", Flow: "interactive", Class: ClassInteractive, Priority: 10}); err != nil {
+	if err := s.Push(&Item{Key: "hot", Flow: "sw2", Priority: 10}); err != nil {
 		t.Fatal(err)
 	}
 

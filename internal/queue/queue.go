@@ -1,15 +1,17 @@
-// Package queue is coordd's admission layer: a weighted fair-share
-// scheduler over flows of pending work (sched.go, this file) and a
-// crash-safe on-disk pending-queue journal (journal.go). Together they
-// replace the service layer's bounded FIFO channel with the discipline
-// the paper demands of its protocols — progress must be fair under
-// overload, and accepted work must never be lost to a crash.
+// Package queue is coordd's admission layer: a fair-share scheduler
+// over the flows of one scheduling class (this file) and a crash-safe
+// on-disk pending-queue journal (journal.go). Together they replace the
+// service layer's bounded FIFO channel with the discipline the paper
+// demands of its protocols — progress must be fair under overload, and
+// accepted work must never be lost to a crash.
 //
-// The scheduler groups pending items into flows: every sweep is one
-// flow, every interactive submitter shares the "interactive" flow, and
-// a deficit-round-robin pass across the active flows picks the next
-// item — so a 256-cell sweep and a single interactive job alternate
-// pops instead of the sweep draining first. Within a flow, items order
+// coordd runs one Sched per scheduling class, each drained by its own
+// workers, so a class never waits on the other's running work. Within a
+// Sched, pending items group into flows — every sweep is one flow of
+// the sweep class, and interactive submitters share the one
+// "interactive" flow — and a round-robin pass across the active flows
+// picks the next item, so two sweeps alternate pops instead of the
+// first draining before the second starts. Within a flow, items order
 // by priority (higher first), then deadline (earlier first), then
 // admission order.
 package queue
@@ -17,27 +19,30 @@ package queue
 import (
 	"container/heap"
 	"fmt"
-	"maps"
+	"slices"
 	"sync"
 	"time"
 )
 
-// Class partitions flows for fairness weights and metrics labels.
+// Class names a scheduling class. The scheduler itself serves one class
+// and never reads it; coordd keeps one Sched per class.
 type Class string
 
 const (
-	// ClassInteractive is the shared flow of individually submitted jobs.
+	// ClassInteractive is individually submitted jobs, which share one
+	// flow.
 	ClassInteractive Class = "interactive"
-	// ClassSweep marks per-sweep flows (one flow per sweep id).
+	// ClassSweep is sweep cells, one flow per sweep id.
 	ClassSweep Class = "sweep"
 )
 
-// ErrFull is returned by Push when the item's class is at MaxDepth.
+// ErrFull is returned by Push when the scheduler holds MaxDepth items.
 var ErrFull = fmt.Errorf("queue: scheduler full")
 
-// Item is one pending unit of work. Key/Flow/Class/Priority/Deadline
-// are scheduling inputs; Payload is the caller's job, opaque to the
-// scheduler. An Item must be pushed at most once.
+// Item is one pending unit of work. Flow/Priority/Deadline are
+// scheduling inputs; Key and Class label the item for the caller, and
+// Payload is the caller's job, all opaque to the scheduler. An Item
+// must be pushed at most once.
 type Item struct {
 	Key      string
 	Flow     string
@@ -53,15 +58,10 @@ type Item struct {
 
 // SchedOptions tunes NewSched.
 type SchedOptions struct {
-	// MaxDepth bounds the pending items of each class; Push past it
-	// returns ErrFull, so one class filling up never refuses the other.
-	// 0 means 64. PushReplay ignores the bound — accepted work coming
-	// back must never be dropped.
+	// MaxDepth bounds the pending items across every flow; Push past it
+	// returns ErrFull. 0 means 64. PushReplay ignores the bound —
+	// accepted work coming back must never be dropped.
 	MaxDepth int
-	// Weight maps a class to its pops per round-robin turn; nil or a
-	// return < 1 means 1. Raising the interactive weight lets latency-
-	// sensitive traffic take several slots per sweep slot.
-	Weight func(Class) int
 }
 
 // Sched is the fair-share scheduler. All methods are safe for
@@ -69,26 +69,20 @@ type SchedOptions struct {
 // scheduler is closed and empty.
 type Sched struct {
 	maxDepth int
-	weight   func(Class) int
 
 	mu     sync.Mutex
 	cond   *sync.Cond
 	flows  map[string]*flow
 	ring   []*flow // active (non-empty) flows in round-robin order
 	cursor int
-	credit int // pops left for the flow at cursor this turn
 	depth  int
 	seq    uint64
 	closed bool
-
-	// byClass counts the pending items of each class; it sums to depth.
-	byClass map[Class]int
 }
 
 // flow is one fairness unit: a heap of pending items.
 type flow struct {
 	id    string
-	class Class
 	items itemHeap
 }
 
@@ -99,15 +93,13 @@ func NewSched(opts SchedOptions) *Sched {
 	}
 	s := &Sched{
 		maxDepth: opts.MaxDepth,
-		weight:   opts.Weight,
 		flows:    make(map[string]*flow),
-		byClass:  make(map[Class]int, 2),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// Push admits it, or returns ErrFull when its class already holds
+// Push admits it, or returns ErrFull when the scheduler already holds
 // MaxDepth items. Closed schedulers refuse everything (the caller's
 // drain check fires first in practice).
 func (s *Sched) Push(it *Item) error {
@@ -116,7 +108,7 @@ func (s *Sched) Push(it *Item) error {
 	if s.closed {
 		return fmt.Errorf("queue: scheduler closed")
 	}
-	if s.byClass[it.Class] >= s.maxDepth {
+	if s.depth >= s.maxDepth {
 		return ErrFull
 	}
 	s.pushLocked(it)
@@ -143,13 +135,12 @@ func (s *Sched) pushLocked(it *Item) {
 	}
 	f, ok := s.flows[it.Flow]
 	if !ok {
-		f = &flow{id: it.Flow, class: it.Class}
+		f = &flow{id: it.Flow}
 		s.flows[it.Flow] = f
 		s.ring = append(s.ring, f)
 	}
 	heap.Push(&f.items, it)
 	s.depth++
-	s.byClass[it.Class]++
 	s.cond.Signal()
 }
 
@@ -169,42 +160,23 @@ func (s *Sched) Next() (*Item, bool) {
 	return s.popLocked(), true
 }
 
-// popLocked runs one deficit-round-robin step: the flow at the cursor
-// yields up to weight(class) items, then the cursor advances. Flows
-// leave the ring the moment they empty, so round-robin is always over
-// flows that actually have work.
+// popLocked runs one round-robin step: the flow at the cursor yields
+// its next item, then the cursor advances. Flows leave the ring the
+// moment they empty, so round-robin is always over flows that actually
+// have work.
 func (s *Sched) popLocked() *Item {
 	if s.cursor >= len(s.ring) {
 		s.cursor = 0
 	}
 	f := s.ring[s.cursor]
-	if s.credit <= 0 {
-		s.credit = s.weightOf(f.class)
-	}
 	it := heap.Pop(&f.items).(*Item)
 	s.depth--
-	s.byClass[it.Class]--
-	s.credit--
 	if f.items.Len() == 0 {
 		s.dropFlowLocked(s.cursor)
-		s.credit = 0
-	} else if s.credit <= 0 {
+	} else {
 		s.cursor++
-		if s.cursor >= len(s.ring) {
-			s.cursor = 0
-		}
 	}
 	return it
-}
-
-func (s *Sched) weightOf(c Class) int {
-	if s.weight == nil {
-		return 1
-	}
-	if w := s.weight(c); w > 1 {
-		return w
-	}
-	return 1
 }
 
 // dropFlowLocked removes the flow at ring index i, keeping the cursor
@@ -224,7 +196,7 @@ func (s *Sched) dropFlowLocked(i int) {
 // occupies capacity nor reaches a worker. Reports whether it was still
 // pending — false means a worker already popped it (or it was never
 // pushed). Emptied flows leave the ring immediately: a cancelled sweep
-// must not leave its flow registered, or a long-lived daemon's DRR ring
+// must not leave its flow registered, or a long-lived daemon's ring
 // would grow without bound.
 func (s *Sched) Remove(it *Item) bool {
 	s.mu.Lock()
@@ -241,25 +213,14 @@ func (s *Sched) Remove(it *Item) bool {
 	}
 	heap.Remove(&f.items, it.index)
 	s.depth--
-	s.byClass[it.Class]--
 	if f.items.Len() == 0 {
-		for i, rf := range s.ring {
-			if rf == f {
-				if s.cursor == i {
-					// The removed flow's unspent DRR credit must not leak
-					// to whichever flow slides into its ring slot.
-					s.credit = 0
-				}
-				s.dropFlowLocked(i)
-				break
-			}
-		}
+		s.dropFlowLocked(slices.Index(s.ring, f))
 	}
 	return true
 }
 
 // Steal pops up to n pending items for donation to a peer, using the
-// same deficit-round-robin discipline as Next — the donated work is
+// same round-robin discipline as Next — the donated work is
 // exactly the work that would have run next locally, so stealing never
 // inverts priorities. Non-blocking: an idle or closed scheduler grants
 // nothing. Emptied flows are reaped exactly as on the Next path.
@@ -289,7 +250,7 @@ func (s *Sched) Depth() int {
 	return s.depth
 }
 
-// Flows reports the registered fairness flows — the DRR ring size. The
+// Flows reports the registered fairness flows — the ring size. The
 // invariant a long-lived daemon depends on: every registered flow holds
 // at least one pending item, so Flows is bounded by Depth and returns
 // to at most the active-submitter count once backlogs settle. The
@@ -298,13 +259,6 @@ func (s *Sched) Flows() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.flows)
-}
-
-// DepthByClass reports pending items per class (the /metrics labels).
-func (s *Sched) DepthByClass() map[Class]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return maps.Clone(s.byClass)
 }
 
 // OldestAge reports how long the oldest pending item has waited, or 0

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-func item(flow string, class Class, key string) *Item {
-	return &Item{Key: key, Flow: flow, Class: class, Enqueued: time.Now()}
+func item(flow, key string) *Item {
+	return &Item{Key: key, Flow: flow, Enqueued: time.Now()}
 }
 
 // drainAll closes the scheduler and pops everything left, in order.
@@ -24,34 +24,34 @@ func drainAll(s *Sched) []*Item {
 	}
 }
 
-// TestFairShareRoundRobin: a big sweep flow and a trickle of interactive
-// jobs must alternate — the sweep cannot drain first.
+// TestFairShareRoundRobin: a big sweep flow and a small one pushed
+// after it must alternate — the first sweep cannot drain first.
 func TestFairShareRoundRobin(t *testing.T) {
 	s := NewSched(SchedOptions{MaxDepth: 64})
 	for i := 0; i < 10; i++ {
-		if err := s.Push(item("sw1", ClassSweep, fmt.Sprintf("cell%d", i))); err != nil {
+		if err := s.Push(item("sw1", fmt.Sprintf("cell%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Push(item("interactive", ClassInteractive, fmt.Sprintf("job%d", i))); err != nil {
+		if err := s.Push(item("sw2", fmt.Sprintf("late%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	order := drainAll(s)
-	// All three interactive jobs must appear within the first six pops:
-	// round-robin over two flows yields at worst sweep,inter,sweep,inter,…
+	// All three cells of the second sweep must appear within the first
+	// six pops: round-robin over two flows yields sw1,sw2,sw1,sw2,…
 	seen := 0
 	for i, it := range order {
-		if it.Class == ClassInteractive {
+		if it.Flow == "sw2" {
 			seen++
 			if i >= 6 {
-				t.Errorf("interactive job %s popped at position %d — starved by the sweep", it.Key, i)
+				t.Errorf("cell %s popped at position %d — starved by the first sweep", it.Key, i)
 			}
 		}
 	}
 	if seen != 3 || len(order) != 13 {
-		t.Fatalf("drained %d items, %d interactive, want 13/3", len(order), seen)
+		t.Fatalf("drained %d items, %d of the second sweep, want 13/3", len(order), seen)
 	}
 }
 
@@ -60,13 +60,13 @@ func TestFairShareRoundRobin(t *testing.T) {
 func TestPriorityAndDeadlineOrdering(t *testing.T) {
 	s := NewSched(SchedOptions{MaxDepth: 16})
 	now := time.Now()
-	low := item("interactive", ClassInteractive, "low")
+	low := item("interactive", "low")
 	low.Priority = -1
-	urgent := item("interactive", ClassInteractive, "urgent")
+	urgent := item("interactive", "urgent")
 	urgent.Priority = 2
-	soon := item("interactive", ClassInteractive, "soon")
+	soon := item("interactive", "soon")
 	soon.Deadline = now.Add(time.Second)
-	later := item("interactive", ClassInteractive, "later")
+	later := item("interactive", "later")
 	later.Deadline = now.Add(time.Hour)
 	for _, it := range []*Item{low, later, soon, urgent} {
 		if err := s.Push(it); err != nil {
@@ -82,47 +82,20 @@ func TestPriorityAndDeadlineOrdering(t *testing.T) {
 	}
 }
 
-// TestWeightedClasses: interactive weight 2 takes two pops per sweep pop.
-func TestWeightedClasses(t *testing.T) {
-	s := NewSched(SchedOptions{MaxDepth: 32, Weight: func(c Class) int {
-		if c == ClassInteractive {
-			return 2
-		}
-		return 1
-	}})
-	for i := 0; i < 4; i++ {
-		if err := s.Push(item("interactive", ClassInteractive, fmt.Sprintf("i%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if err := s.Push(item("sw", ClassSweep, fmt.Sprintf("s%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := keys(drainAll(s))
-	want := []string{"i0", "i1", "s0", "i2", "i3", "s1", "s2", "s3"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("weighted pop order %v, want %v", got, want)
-		}
-	}
-}
-
 // TestDepthBoundAndReplayBypass: Push refuses past MaxDepth, PushReplay
 // never does.
 func TestDepthBoundAndReplayBypass(t *testing.T) {
 	s := NewSched(SchedOptions{MaxDepth: 2})
-	if err := s.Push(item("interactive", ClassInteractive, "a")); err != nil {
+	if err := s.Push(item("interactive", "a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Push(item("interactive", ClassInteractive, "b")); err != nil {
+	if err := s.Push(item("interactive", "b")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Push(item("interactive", ClassInteractive, "c")); err != ErrFull {
+	if err := s.Push(item("interactive", "c")); err != ErrFull {
 		t.Fatalf("third push err = %v, want ErrFull", err)
 	}
-	s.PushReplay(item("interactive", ClassInteractive, "replayed"))
+	s.PushReplay(item("interactive", "replayed"))
 	if d := s.Depth(); d != 3 {
 		t.Fatalf("depth = %d, want 3 after replay bypass", d)
 	}
@@ -131,45 +104,39 @@ func TestDepthBoundAndReplayBypass(t *testing.T) {
 	}
 }
 
-// TestDepthBoundIsPerClass: a class at MaxDepth refuses only its own
-// pushes, and a pop or a remove frees exactly its own class's capacity.
-func TestDepthBoundIsPerClass(t *testing.T) {
+// TestDepthBoundSpansFlows: MaxDepth bounds the pending items of every
+// flow together, and a pop or a remove frees exactly one slot.
+func TestDepthBoundSpansFlows(t *testing.T) {
 	s := NewSched(SchedOptions{MaxDepth: 2})
-	for _, it := range []*Item{
-		item("interactive", ClassInteractive, "i1"),
-		item("interactive", ClassInteractive, "i2"),
-		item("sw", ClassSweep, "s1"),
-		item("sw", ClassSweep, "s2"),
-	} {
-		if err := s.Push(it); err != nil {
-			t.Fatalf("push %s: %v", it.Key, err)
-		}
+	a1 := item("a", "a1")
+	if err := s.Push(a1); err != nil {
+		t.Fatal(err)
 	}
-	if err := s.Push(item("interactive", ClassInteractive, "i3")); err != ErrFull {
-		t.Fatalf("third interactive push err = %v, want ErrFull", err)
+	if err := s.Push(item("b", "b1")); err != nil {
+		t.Fatal(err)
 	}
-	s3 := item("sw", ClassSweep, "s3")
-	if err := s.Push(s3); err != ErrFull {
-		t.Fatalf("third sweep push err = %v, want ErrFull", err)
+	a2 := item("a", "a2")
+	if err := s.Push(a2); err != ErrFull {
+		t.Fatalf("third push err = %v, want ErrFull", err)
 	}
-	s.PushReplay(s3)
-	if d := s.DepthByClass(); d[ClassInteractive] != 2 || d[ClassSweep] != 3 || s.Depth() != 5 {
-		t.Fatalf("depth by class = %v, total %d, want 2/3/5", d, s.Depth())
+	s.PushReplay(a2)
+	if d := s.Depth(); d != 3 {
+		t.Fatalf("depth = %d, want 3 after replay bypass", d)
 	}
-	if !s.Remove(s3) {
-		t.Fatal("Remove(s3) = false while pending")
+	if !s.Remove(a2) {
+		t.Fatal("Remove(a2) = false while pending")
 	}
-	if it, _ := s.Next(); it.Key != "i1" {
-		t.Fatalf("first pop %s, want i1 (the interactive flow is first in the ring)", it.Key)
+	if err := s.Push(item("b", "b2")); err != ErrFull {
+		t.Fatalf("push at the bound after a remove err = %v, want ErrFull", err)
 	}
-	if err := s.Push(item("interactive", ClassInteractive, "i3")); err != nil {
-		t.Fatalf("interactive push after an interactive pop: %v", err)
+	if it, _ := s.Next(); it != a1 {
+		t.Fatalf("first pop %s, want a1 (flow a is first in the ring)", it.Key)
 	}
-	if err := s.Push(item("sw", ClassSweep, "s4")); err != ErrFull {
-		t.Fatalf("sweep push after an interactive pop err = %v, want ErrFull", err)
+	if err := s.Push(item("b", "b2")); err != nil {
+		t.Fatalf("push after a pop: %v", err)
 	}
-	if d := s.DepthByClass(); d[ClassInteractive] != 2 || d[ClassSweep] != 2 {
-		t.Fatalf("depth by class = %v, want 2/2", d)
+	if d := s.Depth(); d != 2 {
+		t.Fatalf("depth = %d, want 2", d)
 	}
 }
 
@@ -177,9 +144,9 @@ func TestDepthBoundIsPerClass(t *testing.T) {
 // counts against depth; removing twice (or after pop) reports false.
 func TestRemoveWithdrawsPending(t *testing.T) {
 	s := NewSched(SchedOptions{MaxDepth: 8})
-	a := item("sw", ClassSweep, "a")
-	b := item("sw", ClassSweep, "b")
-	c := item("interactive", ClassInteractive, "c")
+	a := item("sw", "a")
+	b := item("sw", "b")
+	c := item("interactive", "c")
 	for _, it := range []*Item{a, b, c} {
 		if err := s.Push(it); err != nil {
 			t.Fatal(err)
@@ -208,23 +175,16 @@ func TestRemoveWithdrawsPending(t *testing.T) {
 	}
 }
 
-// TestDepthByClassAndOldestAge: the metrics views.
-func TestDepthByClassAndOldestAge(t *testing.T) {
+// TestOldestAge: the head-of-line wait gauge.
+func TestOldestAge(t *testing.T) {
 	s := NewSched(SchedOptions{MaxDepth: 8})
-	old := item("interactive", ClassInteractive, "old")
+	old := item("interactive", "old")
 	old.Enqueued = time.Now().Add(-3 * time.Second)
+	if err := s.Push(item("sw", "s1")); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Push(old); err != nil {
 		t.Fatal(err)
-	}
-	if err := s.Push(item("sw", ClassSweep, "s1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Push(item("sw", ClassSweep, "s2")); err != nil {
-		t.Fatal(err)
-	}
-	d := s.DepthByClass()
-	if d[ClassInteractive] != 1 || d[ClassSweep] != 2 {
-		t.Fatalf("depth by class = %v", d)
 	}
 	if age := s.OldestAge(time.Now()); age < 2*time.Second {
 		t.Fatalf("oldest age = %v, want >= 2s", age)
@@ -249,7 +209,7 @@ func TestNextBlocksUntilPushAndCloseDrains(t *testing.T) {
 		got <- it
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if err := s.Push(item("interactive", ClassInteractive, "late")); err != nil {
+	if err := s.Push(item("interactive", "late")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -260,7 +220,7 @@ func TestNextBlocksUntilPushAndCloseDrains(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Next did not wake on Push")
 	}
-	if err := s.Push(item("interactive", ClassInteractive, "backlog")); err != nil {
+	if err := s.Push(item("interactive", "backlog")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -284,7 +244,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 			defer wg.Done()
 			flow := fmt.Sprintf("flow%d", p%3)
 			for i := 0; i < perProducer; i++ {
-				if err := s.Push(item(flow, ClassSweep, fmt.Sprintf("p%d-%d", p, i))); err != nil {
+				if err := s.Push(item(flow, fmt.Sprintf("p%d-%d", p, i))); err != nil {
 					t.Errorf("push: %v", err)
 				}
 			}

@@ -14,6 +14,7 @@ import (
 
 	"coordattack/internal/cluster"
 	"coordattack/internal/mc"
+	"coordattack/internal/queue"
 )
 
 // swapHandler lets a test stand up the HTTP listener first (the cluster
@@ -485,7 +486,7 @@ func TestClusterExpiredQueuedJobsSparePeerBreaker(t *testing.T) {
 	if _, err := a.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: 800}); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "blocker to occupy the worker", func() bool { return a.running.Load() == 1 })
+	waitUntil(t, "blocker to occupy the worker", func() bool { return a.pool(queue.ClassInteractive).running.Load() == 1 })
 	var ids []string
 	for seed := uint64(801); seed <= 803; seed++ {
 		st, err := a.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: seed, TimeoutSec: 1})
@@ -542,7 +543,7 @@ func TestClusterStealGrantsOnlyRingMembers(t *testing.T) {
 		}
 		ids = append(ids, st.ID)
 		if i == 0 {
-			waitUntil(t, "blocker to occupy the worker", func() bool { return a.running.Load() == 1 })
+			waitUntil(t, "blocker to occupy the worker", func() bool { return a.pool(queue.ClassInteractive).running.Load() == 1 })
 		}
 	}
 

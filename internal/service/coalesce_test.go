@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"coordattack/internal/mc"
+	"coordattack/internal/queue"
 	"coordattack/internal/store"
 )
 
@@ -270,7 +271,7 @@ func TestDrainRefusesCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "the job to hold the worker", func() bool { return s.running.Load() == 1 })
+	waitUntil(t, "the job to hold the worker", func() bool { return s.pool(queue.ClassInteractive).running.Load() == 1 })
 	drained := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

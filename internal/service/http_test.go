@@ -120,6 +120,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 		"coordd_jobs_submitted_total 2",
 		"coordd_trials_executed_total 2000",
 		"coordd_job_duration_seconds_bucket",
+		`coordd_jobs_running{class="interactive"} 0`,
+		`coordd_jobs_running{class="sweep"} 0`,
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)

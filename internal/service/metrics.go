@@ -176,10 +176,14 @@ type Gauges struct {
 	QueueInteractive  int
 	QueueSweep        int
 	QueueOldestAgeSec float64
-	JobsRunning       int
-	CacheSize         int
-	CacheHits         int64
-	CacheMisses       int64
+	// RunningInteractive/RunningSweep split JobsRunning by scheduling
+	// class: each class has its own worker pool.
+	JobsRunning        int
+	RunningInteractive int
+	RunningSweep       int
+	CacheSize          int
+	CacheHits          int64
+	CacheMisses        int64
 	// StoreEnabled marks a daemon with a durable tier configured; Store
 	// is its counter/gauge snapshot (zero when disabled, so the metric
 	// surface stays stable either way).
@@ -189,7 +193,7 @@ type Gauges struct {
 	// Journal is its snapshot.
 	JournalEnabled bool
 	Journal        queue.JournalStats
-	// QueueFlows is the DRR ring size — the registered fairness flows.
+	// QueueFlows is the registered fairness flows of both schedulers.
 	// Bounded by queue depth (empty flows are reaped), so growth here
 	// means the reap invariant broke.
 	QueueFlows int
@@ -250,7 +254,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 	counter("coordd_queue_journal_settles_total", "Settle tombstones appended to the queue journal.", g.Journal.Settles)
 	counter("coordd_queue_journal_truncated_total", "Undecodable journal records skipped on replay.", g.Journal.Truncated)
 	counter("coordd_queue_journal_compactions_total", "Queue journal compactions (open-time and live).", g.Journal.Compactions)
-	gauge("coordd_jobs_queued", "Jobs waiting in the scheduler.", g.JobsQueued)
+	gauge("coordd_jobs_queued", "Jobs waiting in both classes' schedulers.", g.JobsQueued)
 	fmt.Fprintf(w, "# HELP coordd_queue_depth Pending jobs by scheduling class.\n# TYPE coordd_queue_depth gauge\n")
 	fmt.Fprintf(w, "coordd_queue_depth{class=\"interactive\"} %d\n", g.QueueInteractive)
 	fmt.Fprintf(w, "coordd_queue_depth{class=\"sweep\"} %d\n", g.QueueSweep)
@@ -260,7 +264,9 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 		journalDegraded = 1
 	}
 	gauge("coordd_queue_journal_degraded", "1 when a write error demoted the queue journal to memory-only.", journalDegraded)
-	gauge("coordd_jobs_running", "Jobs currently executing.", g.JobsRunning)
+	fmt.Fprintf(w, "# HELP coordd_jobs_running Jobs currently executing, by scheduling class (one worker pool each).\n# TYPE coordd_jobs_running gauge\n")
+	fmt.Fprintf(w, "coordd_jobs_running{class=\"interactive\"} %d\n", g.RunningInteractive)
+	fmt.Fprintf(w, "coordd_jobs_running{class=\"sweep\"} %d\n", g.RunningSweep)
 	gauge("coordd_cache_entries", "Entries in the result cache.", g.CacheSize)
 	gauge("coordd_store_entries", "Entries in the durable store.", g.Store.Entries)
 	fmt.Fprintf(w, "# HELP coordd_store_bytes On-disk bytes in the durable store.\n# TYPE coordd_store_bytes gauge\ncoordd_store_bytes %d\n", g.Store.Bytes)
@@ -269,7 +275,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 		degraded = 1
 	}
 	gauge("coordd_store_degraded", "1 when a write error demoted the store to read-only.", degraded)
-	gauge("coordd_queue_flows", "Registered fairness flows in the DRR ring.", g.QueueFlows)
+	gauge("coordd_queue_flows", "Registered fairness flows in the schedulers' round-robin rings.", g.QueueFlows)
 	if g.ClusterEnabled {
 		fmt.Fprintf(w, "# HELP coordd_peer_requests_total Peer-protocol requests by peer, operation, and outcome.\n# TYPE coordd_peer_requests_total counter\n")
 		for _, r := range g.Cluster.Requests {

@@ -175,12 +175,13 @@ func (s *Server) replicateResult(key string, body json.RawMessage) {
 	}()
 }
 
-// stealVictim donates up to want pending jobs to thief. The grant is
-// capped at the backlog surplus beyond this node's own worker pool —
-// a node never donates work its own idle-in-a-moment workers would
-// take next — and is empty for a thief outside this node's ring, whose
-// address the follower could not dial (a node advertising 0.0.0.0, say):
-// the victim would reclaim the jobs while the thief ran them too. Each
+// stealVictim donates up to want pending jobs to thief, interactive
+// jobs first. Each pool keeps Workers pending jobs for its own workers
+// and grants only its surplus beyond them — a node never donates work
+// its own idle-in-a-moment workers would take next — and the grant is
+// empty for a thief outside this node's ring, whose address the
+// follower could not dial (a node advertising 0.0.0.0, say): the
+// victim would reclaim the jobs while the thief ran them too. Each
 // job is granted as its accept record. Donated jobs keep their
 // HTTP-visible Job here: the journal record is re-stamped as a steal
 // intent naming the thief (fsynced before the grant leaves, like an
@@ -197,12 +198,13 @@ func (s *Server) stealVictim(want int, thief string) []queue.Record {
 	if s.draining {
 		return nil
 	}
-	want = min(want, s.sched.Depth()-s.cfg.Workers)
-	if want < 1 {
-		return nil
+	var popped []*queue.Item
+	for i := range s.pools {
+		sched := s.pools[i].sched
+		popped = append(popped, sched.Steal(min(want-len(popped), sched.Depth()-s.cfg.Workers))...)
 	}
 	var grant []queue.Record
-	for _, it := range s.sched.Steal(want) {
+	for _, it := range popped {
 		j := it.Payload.(*Job)
 		j.mu.Lock()
 		terminal := j.state.Terminal()
@@ -373,15 +375,16 @@ func (s *Server) adoptStolen(grant []queue.Record) int {
 }
 
 // stealRound is one round of the work-stealing loop, which New runs
-// every Config.StealInterval on every cluster node: when the local pool
-// has idle workers and an empty backlog, it asks each live peer in turn
-// to donate pending work.
+// every Config.StealInterval on every cluster node: when both pools
+// have idle workers and empty backlogs, it asks each live peer in turn
+// to donate pending work — as many jobs as the busier pool has idle
+// workers, since a grant may carry jobs of either class.
 func (s *Server) stealRound() {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
-	free := s.cfg.Workers - int(s.running.Load())
-	if draining || free < 1 || s.sched.Depth() > 0 {
+	free := s.cfg.Workers - int(max(s.pools[0].running.Load(), s.pools[1].running.Load()))
+	if draining || free < 1 || s.queued() > 0 {
 		return
 	}
 	for _, peer := range s.cluster.PeerAddrs() {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"path/filepath"
@@ -27,11 +28,11 @@ func slowWrapper(d time.Duration) func(string, RunFunc) RunFunc {
 }
 
 // TestFairShareInteractiveBeatsSweep is the fairness acceptance test: a
-// saturating MaxSweepCells-cell sweep is queued on one slowed worker,
-// then a single interactive job arrives. Under the old FIFO the
-// interactive job would wait behind every cell (engine runs at its
-// completion >= 257); under fair sharing the interactive flow gets
-// every other pop, so it completes almost immediately.
+// saturating MaxSweepCells-cell sweep is queued on a slowed one-worker
+// sweep pool, then a single interactive job arrives. Under the old FIFO
+// the interactive job would wait behind every cell (engine runs at its
+// completion >= 257); with a pool of its own it completes almost
+// immediately.
 func TestFairShareInteractiveBeatsSweep(t *testing.T) {
 	s := New(Config{
 		Workers:    1,
@@ -85,20 +86,107 @@ func TestFairShareInteractiveBeatsSweep(t *testing.T) {
 	}
 }
 
+// gatePools pins both worker pools of s, configured with Workers: 1
+// and WrapEngine: stallWrapper(666, block), until the test closes
+// block: an interactive job and a one-cell sweep, whose base differs
+// from it so the two do not coalesce, each stall their pool's worker.
+func gatePools(t *testing.T, s *Server) {
+	t.Helper()
+	if _, err := s.Submit(JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 200, Seed: 666}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SubmitSweep(SweepSpec{
+		Base: JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 300},
+		Axes: SweepAxes{Seeds: []uint64{666}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the gate jobs to hold both pools", func() bool {
+		return s.pool(queue.ClassInteractive).running.Load() == 1 && s.pool(queue.ClassSweep).running.Load() == 1
+	})
+}
+
+// TestInteractiveSkipsBusySweepPool is the pool acceptance test: with
+// one worker per class, a sweep whose cells all stall in the engine
+// holds the sweep pool, and an interactive job submitted after it
+// still settles done at once — while every cell is still stalled and
+// none has settled. A single pool would hand the worker to a cell and
+// leave the interactive job waiting behind it.
+func TestInteractiveSkipsBusySweepPool(t *testing.T) {
+	release := make(chan struct{})
+	var stalled atomic.Int64
+	s := New(Config{
+		Workers:          1,
+		WatchdogInterval: -1,
+		WrapEngine: func(name string, next RunFunc) RunFunc {
+			return func(ctx context.Context, spec JobSpec, workers int, progress func(mc.Snapshot)) (json.RawMessage, error) {
+				if spec.Protocol == "s:0.5" {
+					stalled.Add(1)
+					<-release
+				}
+				return next(ctx, spec, workers, progress)
+			}
+		},
+	})
+	defer drain(t, s)
+	defer close(release)
+
+	sw, err := s.SubmitSweep(SweepSpec{
+		Base: JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 200},
+		Axes: SweepAxes{Seeds: []uint64{1, 2, 3, 4}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "a cell to stall the sweep pool", func() bool { return stalled.Load() == 1 })
+	st, err := s.Submit(JobSpec{Protocol: "s:0.3", Rounds: 2, Trials: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitState(t, s, st.ID, 10*time.Second); fin.State != StateDone {
+		t.Fatalf("interactive job settled %s: %s", fin.State, fin.Error)
+	}
+	swStatus, err := s.GetSweep(sw.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if settled := swStatus.Done + swStatus.Failed + swStatus.Cancelled; swStatus.State != StateRunning || settled != 0 {
+		t.Fatalf("sweep %s with %d cells settled when the interactive job finished, want running with none", swStatus.State, settled)
+	}
+	if n := stalled.Load(); n != 1 {
+		t.Fatalf("%d cells reached the engine, want the one holding the sweep pool", n)
+	}
+
+	// Each pool's running jobs are their own /metrics series.
+	var buf bytes.Buffer
+	s.metrics.WritePrometheus(&buf, s.gauges())
+	for _, want := range []string{
+		`coordd_jobs_running{class="interactive"} 0` + "\n",
+		`coordd_jobs_running{class="sweep"} 1` + "\n",
+		`coordd_queue_depth{class="sweep"} 3` + "\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// Only the stalled sweep is left for the drain to wait out.
+	if _, err := s.CancelSweep(sw.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSweepLeavesInteractiveCapacity: at the default QueueDepth, a
-// MaxSweepCells sweep queued behind a held worker leaves the interactive
-// class its whole bound — QueueDepth submissions are admitted, and the
-// next one is refused, so the bound still holds per class.
+// MaxSweepCells sweep queued behind a held sweep pool leaves the
+// interactive class its whole bound — QueueDepth submissions are
+// admitted, and the next one is refused, so the bound still holds per
+// class.
 func TestSweepLeavesInteractiveCapacity(t *testing.T) {
 	block := make(chan struct{})
 	s := New(Config{Workers: 1, WatchdogInterval: -1, WrapEngine: stallWrapper(666, block)})
 	defer drain(t, s)
 	defer close(block)
 
-	if _, err := s.Submit(JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 200, Seed: 666}); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "the gate job to hold the worker", func() bool { return s.running.Load() == 1 })
+	gatePools(t, s)
 	seeds := make([]uint64, MaxSweepCells)
 	for i := range seeds {
 		seeds[i] = uint64(1000 + i)
@@ -111,7 +199,9 @@ func TestSweepLeavesInteractiveCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	depth := s.cfg.QueueDepth
-	waitUntil(t, "the sweep to fill the queue", func() bool { return s.sched.Depth() >= depth })
+	if d := s.pool(queue.ClassSweep).sched.Depth(); d != MaxSweepCells {
+		t.Fatalf("sweep pool holds %d jobs, want the sweep's %d", d, MaxSweepCells)
+	}
 	for i := 1; i <= depth; i++ {
 		if _, err := s.Submit(JobSpec{Protocol: "s:0.3", Rounds: 2, Trials: 200, Seed: uint64(i)}); err != nil {
 			t.Fatalf("interactive submission %d of %d during the sweep: %v", i, depth, err)
@@ -120,14 +210,14 @@ func TestSweepLeavesInteractiveCapacity(t *testing.T) {
 	if _, err := s.Submit(JobSpec{Protocol: "s:0.3", Rounds: 2, Trials: 200, Seed: uint64(depth + 1)}); err != ErrQueueFull {
 		t.Fatalf("interactive submission %d: err = %v, want ErrQueueFull", depth+1, err)
 	}
-	// Only the gate job's runs are left for the drain to wait out.
+	// Only the gate jobs' runs are left for the drain to wait out.
 	if _, err := s.CancelSweep(sw.ID); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestConcurrentSweepsKeepTheBound: sweeps submitted at once are
-// admitted one at a time, so with the worker held only the first passes
+// admitted one at a time, so with both pools held only the first passes
 // the depth check, and the sweep class stays below QueueDepth +
 // MaxSweepCells however many sweeps race.
 func TestConcurrentSweepsKeepTheBound(t *testing.T) {
@@ -136,10 +226,7 @@ func TestConcurrentSweepsKeepTheBound(t *testing.T) {
 	defer drain(t, s)
 	defer close(block)
 
-	if _, err := s.Submit(JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 200, Seed: 666}); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "the gate job to hold the worker", func() bool { return s.running.Load() == 1 })
+	gatePools(t, s)
 	const sweeps, cells = 8, 16
 	var admitted, refused atomic.Int64
 	var wg sync.WaitGroup
@@ -169,7 +256,7 @@ func TestConcurrentSweepsKeepTheBound(t *testing.T) {
 	if admitted.Load() != 1 || refused.Load() != sweeps-1 {
 		t.Fatalf("%d sweeps admitted and %d refused, want 1 and %d", admitted.Load(), refused.Load(), sweeps-1)
 	}
-	if d := s.sched.DepthByClass()[queue.ClassSweep]; d != cells {
+	if d := s.pool(queue.ClassSweep).sched.Depth(); d != cells {
 		t.Fatalf("sweep class holds %d jobs, want the one admitted sweep's %d", d, cells)
 	}
 }

@@ -135,18 +135,10 @@ func TestRetryAfterPerClass(t *testing.T) {
 	}()
 	defer close(gate) // LIFO: release the blocker before draining
 
-	// A gated blocker pins the worker; then 2 interactive and 3 sweep
-	// jobs queue behind it.
-	if _, err := s.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: 9000}); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "blocker to occupy the worker", func() bool { return s.running.Load() == 1 })
-	for seed := uint64(9001); seed <= 9002; seed++ {
-		if _, err := s.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: seed}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for seed := uint64(9003); seed <= 9005; seed++ {
+	// Gated blockers pin both pools' workers; then 2 interactive and 3
+	// sweep jobs queue behind them.
+	sweepJob := func(seed uint64) {
+		t.Helper()
 		spec, err := JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: seed}.Canonicalize()
 		if err != nil {
 			t.Fatal(err)
@@ -154,6 +146,21 @@ func TestRetryAfterPerClass(t *testing.T) {
 		if err := s.submit(s.newJob(spec, spec.Key(), queue.ClassSweep, "sweep:test"), time.Now()); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := s.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: 9000}); err != nil {
+		t.Fatal(err)
+	}
+	sweepJob(9006)
+	waitUntil(t, "blockers to occupy both pools", func() bool {
+		return s.pool(queue.ClassInteractive).running.Load() == 1 && s.pool(queue.ClassSweep).running.Load() == 1
+	})
+	for seed := uint64(9001); seed <= 9002; seed++ {
+		if _, err := s.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed := uint64(9003); seed <= 9005; seed++ {
+		sweepJob(seed)
 	}
 
 	// Observed history: interactive jobs take ~1 s, sweep cells ~100 s.

@@ -22,7 +22,10 @@ import (
 
 // Config tunes the scheduler.
 type Config struct {
-	// Workers is the number of concurrent jobs; 0 means 2.
+	// Workers is the number of concurrent jobs per scheduling class;
+	// 0 means 2. Interactive jobs and sweep cells each have a pool of
+	// Workers workers draining the class's own scheduler, so neither
+	// class waits for the other's running jobs.
 	Workers int
 	// QueueDepth bounds the pending jobs of each scheduling class: an
 	// interactive submission past it, or a sweep submitted while the
@@ -31,9 +34,9 @@ type Config struct {
 	// journal replay and an adopted steal may exceed it — accepted work
 	// is never dropped.
 	QueueDepth int
-	// InteractiveWeight is how many interactive jobs the scheduler pops
-	// per sweep-flow pop; 0 means 1 (equal shares). Raising it biases
-	// the pool toward latency-sensitive singleton submissions.
+	// Deprecated: InteractiveWeight is ignored. Each scheduling class
+	// has its own worker pool, so no pop order weighs one class against
+	// the other.
 	InteractiveWeight int
 	// Journal, when non-nil, is the crash-safe pending-queue WAL
 	// (internal/queue): every accepted job is appended (fsynced) before
@@ -115,9 +118,11 @@ type Config struct {
 	ProbeMisses int
 
 	// trialWorkers is the Monte-Carlo parallelism budget of one job:
-	// GOMAXPROCS divided evenly across the job pool, never below 1, so a
-	// fully loaded pool runs at most ~GOMAXPROCS trial goroutines instead
-	// of Workers×GOMAXPROCS.
+	// GOMAXPROCS divided evenly across one pool's Workers, never below
+	// 1, so one busy class still uses every processor. When both classes
+	// are busy, up to 2×GOMAXPROCS trial goroutines share the processors,
+	// one trial at a time: the trial loop yields every 50 µs
+	// (internal/mc).
 	trialWorkers int
 	// repairBatch bounds how many local keys one repair pass probes; 0
 	// means 128. The cursor persists across passes, so the whole key
@@ -132,9 +137,6 @@ func (c Config) withDefaults() Config {
 	c.trialWorkers = max(1, runtime.GOMAXPROCS(0)/c.Workers)
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
-	}
-	if c.InteractiveWeight == 0 {
-		c.InteractiveWeight = 1
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
@@ -225,8 +227,9 @@ type Job struct {
 	key  string
 	spec JobSpec // canonical
 	// class and flow are the scheduling envelope this job was admitted
-	// under; class also feeds the per-class duration observations behind
-	// Retry-After. Written when the job is created, read afterwards.
+	// under; class picks the job's pool and feeds the per-class duration
+	// observations behind Retry-After. Written when the job is created,
+	// read afterwards.
 	class queue.Class
 	flow  string
 
@@ -329,10 +332,18 @@ func (j *Job) status() *Status {
 	}
 }
 
-// Server is the job orchestrator: a bounded fair-share scheduler
-// (internal/queue) drained by a fixed worker pool, a content-addressed
-// result cache in front, an optional crash-safe pending-queue journal
-// underneath, and a job registry behind the HTTP handlers (http.go).
+// pool is one scheduling class's share of the server: its own bounded
+// fair-share scheduler (internal/queue), drained by Config.Workers
+// workers, and the count of its jobs running now.
+type pool struct {
+	sched   *queue.Sched
+	running atomic.Int64
+}
+
+// Server is the job orchestrator: one worker pool per scheduling class,
+// a content-addressed result cache in front, an optional crash-safe
+// pending-queue journal underneath, and a job registry behind the HTTP
+// handlers (http.go).
 type Server struct {
 	cfg     Config
 	cache   *Cache
@@ -343,7 +354,9 @@ type Server struct {
 	metrics *Metrics
 	engines map[string]RunFunc
 
-	running atomic.Int64
+	// pools are the interactive and the sweep pool (Server.pool), fixed
+	// at New.
+	pools [2]pool
 
 	mu   sync.Mutex
 	jobs map[string]*Job
@@ -353,7 +366,6 @@ type Server struct {
 	// absent here with a cache miss really does need a fresh engine run.
 	inflight map[string]*Job
 	sweeps   map[string]*Sweep
-	sched    *queue.Sched
 	draining bool
 	nextID   int64
 
@@ -389,9 +401,9 @@ type Server struct {
 	largeSlot chan struct{}
 }
 
-// New starts a Server with cfg's worker pool already running. When a
+// New starts a Server with both worker pools already running. When a
 // journal is configured, the pending jobs it recovered are re-admitted
-// (ahead of new submissions) before the pool starts.
+// (ahead of new submissions) before the pools start.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -410,15 +422,9 @@ func New(cfg Config) *Server {
 		rrSem:      make(chan struct{}, readRepairBudget),
 		largeSlot:  make(chan struct{}, 1),
 		stop:       make(chan struct{}),
-		sched: queue.NewSched(queue.SchedOptions{
-			MaxDepth: cfg.QueueDepth,
-			Weight: func(c queue.Class) int {
-				if c == queue.ClassInteractive {
-					return cfg.InteractiveWeight
-				}
-				return 1
-			},
-		}),
+	}
+	for i := range s.pools {
+		s.pools[i].sched = queue.NewSched(queue.SchedOptions{MaxDepth: cfg.QueueDepth})
 	}
 	if s.cluster != nil && s.hints == nil {
 		// Every clustered server gets a hint log; without a configured
@@ -427,9 +433,11 @@ func New(cfg Config) *Server {
 		s.hints, _ = hints.Open("", hints.Options{})
 	}
 	s.replayJournal()
-	for w := 0; w < cfg.Workers; w++ {
-		s.wg.Add(1)
-		go s.worker()
+	for i := range s.pools {
+		for w := 0; w < cfg.Workers; w++ {
+			s.wg.Add(1)
+			go s.worker(&s.pools[i])
+		}
 	}
 	if cfg.WatchdogInterval > 0 {
 		s.every(cfg.WatchdogInterval, func() { s.scanStuck(time.Now()) })
@@ -449,6 +457,20 @@ func New(cfg Config) *Server {
 		s.every(cfg.ProbeInterval, func() { s.cluster.PingAll(cfg.ProbeMisses, s.onPeerAlive) })
 	}
 	return s
+}
+
+// pool is the pool of class c: sweep cells have their own, and every
+// other job is interactive (newJob).
+func (s *Server) pool(c queue.Class) *pool {
+	if c == queue.ClassSweep {
+		return &s.pools[1]
+	}
+	return &s.pools[0]
+}
+
+// queued totals the pending jobs of both pools.
+func (s *Server) queued() int {
+	return s.pools[0].sched.Depth() + s.pools[1].sched.Depth()
 }
 
 // every runs fn once per interval, on one goroutine, until Drain closes
@@ -501,9 +523,9 @@ func (s *Server) Submit(spec JobSpec) (*Status, error) {
 // journal record. A local result serves j as a cache hit; a queued or
 // running twin of its key takes j as a coalesced follower; otherwise j
 // is enqueued in its envelope — individual submissions share the
-// "interactive" flow, sweep cells ride their sweep's own flow (class
-// "sweep"), so the fair scheduler round-robins sweeps against
-// singletons. accepted is enqueue's: zero for a client job, bounded by
+// interactive pool's one flow, sweep cells ride their sweep's own flow
+// in the sweep pool, whose scheduler round-robins sweeps against each
+// other. accepted is enqueue's: zero for a client job, bounded by
 // MaxDepth, or the admission time of a cell's sweep or a replayed
 // record.
 func (s *Server) submit(j *Job, accepted time.Time) error {
@@ -562,38 +584,38 @@ func (s *Server) submit(j *Job, accepted time.Time) error {
 	return err
 }
 
-// enqueue is the one way a job enters the scheduler. Called under s.mu,
-// it builds j's scheduler entry from its envelope, pushes it, registers
-// j in jobs and inflight, and journals the accept (fsynced, so a 202 is
-// only sent once the accept is durable, and no settle for this key can
-// be logged before it) unless j already owns its key's record. A zero
-// accepted time is a fresh submission, refused with ErrQueueFull when
-// its class holds MaxDepth jobs; accepted work — an admitted sweep's
-// cells, a journal replay, an adopted steal, a reclaim — passes its
-// admission time and bypasses MaxDepth, because accepted work is never
-// dropped. A draining server refuses both. Journal errors are advisory:
+// enqueue is the one way a job enters a scheduler. Called under s.mu,
+// it builds j's scheduler entry from its envelope, pushes it to its
+// class's pool, registers j in jobs and inflight, and journals the
+// accept (fsynced, so a 202 is only sent once the accept is durable,
+// and no settle for this key can be logged before it) unless j already
+// owns its key's record. A zero accepted time is a fresh submission,
+// refused with ErrQueueFull when its class holds MaxDepth jobs;
+// accepted work — an admitted sweep's cells, a journal replay, an
+// adopted steal, a reclaim — passes its admission time and bypasses
+// MaxDepth, because accepted work is never dropped. A draining server refuses both. Journal errors are advisory:
 // the journal demotes itself to memory-only and admission proceeds.
 func (s *Server) enqueue(j *Job, accepted time.Time) error {
 	it := &queue.Item{
 		Key:      j.key,
 		Flow:     j.flow,
-		Class:    j.class,
 		Priority: j.spec.Priority,
 		Deadline: j.deadline,
 		Enqueued: accepted,
 		Payload:  j,
 	}
+	sched := s.pool(j.class).sched
 	var err error
 	switch {
 	case s.draining:
 		err = ErrDraining
 	case accepted.IsZero():
-		if s.sched.Push(it) != nil {
+		if sched.Push(it) != nil {
 			s.metrics.JobsRejected.Add(1)
 			err = ErrQueueFull
 		}
 	default:
-		s.sched.PushReplay(it)
+		sched.PushReplay(it)
 	}
 	if err != nil {
 		j.cancel()
@@ -632,7 +654,9 @@ func (j *Job) record() queue.Record {
 // keeping the engine's partial result. The winner counts j in exactly
 // one of completed, failed and cancelled, and in each counter of also
 // (the peer hit or watchdog kill behind it), and a job leaving running
-// frees its slot in the running gauge, all before the new state shows.
+// frees its slot in its pool's running gauge, all before the new state
+// shows. A settled job names no thief: stolen_by clears with the
+// settle, and a follower still watching one exits on done.
 // Settling from running is also how a job's worker is freed: the worker
 // waits for the engine or for done, whichever comes first, so a
 // watchdog kill or a forced drain leaves a wedged engine behind. settle
@@ -648,7 +672,7 @@ func (s *Server) settle(j *Job, from, to State, body json.RawMessage, errMsg str
 		j.mu.Unlock()
 		return false
 	}
-	j.state, j.body, j.errMsg = to, body, errMsg
+	j.state, j.body, j.errMsg, j.stolenBy = to, body, errMsg, ""
 	switch to {
 	case StateDone:
 		s.metrics.JobsCompleted.Add(1)
@@ -661,7 +685,7 @@ func (s *Server) settle(j *Job, from, to State, body json.RawMessage, errMsg str
 		c.Add(1)
 	}
 	if from == StateRunning {
-		s.running.Add(-1)
+		s.pool(j.class).running.Add(-1)
 	}
 	close(j.done)
 	j.mu.Unlock()
@@ -671,7 +695,7 @@ func (s *Server) settle(j *Job, from, to State, body json.RawMessage, errMsg str
 	j.item, j.journaled = nil, false
 	s.mu.Unlock()
 	if it != nil {
-		s.sched.Remove(it)
+		s.pool(j.class).sched.Remove(it)
 	}
 	if owned {
 		_ = s.journal.Settle(j.key)
@@ -752,12 +776,12 @@ func (s *Server) jobOf(rec queue.Record) (*Job, time.Time, error) {
 // serveCached settles a freshly created job inline with a memoized body
 // and tombstones the journal record the job owns, which only a replayed
 // record can. It is a hit, not a settlement: no completed/failed/
-// cancelled count.
+// cancelled count. A replayed steal intent served here names no thief.
 func (s *Server) serveCached(j *Job, body json.RawMessage) {
-	j.cached = true
-	j.state = StateDone
-	j.body = body
+	j.mu.Lock()
+	j.cached, j.state, j.body, j.stolenBy = true, StateDone, body, ""
 	j.completed.Store(int64(j.spec.Trials))
+	j.mu.Unlock()
 	close(j.done)
 	j.cancel()
 	s.mu.Lock()
@@ -822,14 +846,15 @@ func (s *Server) follow(j, leader *Job) {
 }
 
 // newJob creates a queued job under the next sequence number, its
-// timeout running unless it is a sweep cell. An empty class or flow (a
-// journal or steal record without one) means the interactive one.
+// timeout running unless it is a sweep cell. Any class but the sweep
+// class means the interactive one, as does an empty flow (a journal or
+// steal record without one).
 func (s *Server) newJob(canon JobSpec, key string, class queue.Class, flow string) *Job {
 	timeout := s.cfg.JobTimeout
 	if t := time.Duration(canon.TimeoutSec) * time.Second; t > 0 && t < timeout {
 		timeout = t
 	}
-	if class == "" {
+	if class != queue.ClassSweep {
 		class = queue.ClassInteractive
 	}
 	if flow == "" {
@@ -951,10 +976,10 @@ func (s *Server) cancelJob(j *Job) {
 	s.settle(j, StateQueued, StateCancelled, nil, context.Canceled.Error())
 }
 
-func (s *Server) worker() {
+func (s *Server) worker(p *pool) {
 	defer s.wg.Done()
 	for {
-		it, ok := s.sched.Next()
+		it, ok := p.sched.Next()
 		if !ok {
 			return
 		}
@@ -1012,7 +1037,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	j.state = StateRunning
 	j.deadline, _ = ctx.Deadline()
-	s.running.Add(1)
+	s.pool(j.class).running.Add(1)
 	j.mu.Unlock()
 	j.lastMove.Store(time.Now().UnixNano())
 
@@ -1089,18 +1114,21 @@ func (s *Server) runJob(j *Job) {
 // gauges snapshots the point-in-time values for /metrics and /healthz.
 func (s *Server) gauges() Gauges {
 	hits, misses := s.cache.Stats()
-	byClass := s.sched.DepthByClass()
+	now := time.Now()
+	in, sw := &s.pools[0], &s.pools[1]
 	g := Gauges{
-		JobsQueued:        s.sched.Depth(),
-		QueueInteractive:  byClass[queue.ClassInteractive],
-		QueueSweep:        byClass[queue.ClassSweep],
-		QueueOldestAgeSec: s.sched.OldestAge(time.Now()).Seconds(),
-		QueueFlows:        s.sched.Flows(),
-		JobsRunning:       int(s.running.Load()),
-		CacheSize:         s.cache.Len(),
-		CacheHits:         hits,
-		CacheMisses:       misses,
+		QueueInteractive:   in.sched.Depth(),
+		QueueSweep:         sw.sched.Depth(),
+		QueueOldestAgeSec:  max(in.sched.OldestAge(now), sw.sched.OldestAge(now)).Seconds(),
+		QueueFlows:         in.sched.Flows() + sw.sched.Flows(),
+		RunningInteractive: int(in.running.Load()),
+		RunningSweep:       int(sw.running.Load()),
+		CacheSize:          s.cache.Len(),
+		CacheHits:          hits,
+		CacheMisses:        misses,
 	}
+	g.JobsQueued = g.QueueInteractive + g.QueueSweep
+	g.JobsRunning = g.RunningInteractive + g.RunningSweep
 	if s.store != nil {
 		g.Store = s.store.Stats()
 		g.StoreEnabled = true
@@ -1121,17 +1149,17 @@ func (s *Server) gauges() Gauges {
 }
 
 // retryAfter estimates the seconds until queue space frees up for one
-// scheduling class: that class's queued backlog divided across the
-// worker pool, scaled by the class's observed mean job duration (the
+// scheduling class: that class's queued backlog divided across its own
+// pool's Workers, scaled by the class's observed mean job duration (the
 // overall mean before the class has finished anything, 1 s before
 // anything at all has), clamped to [1, 300]. It is the Retry-After
 // header on 429 responses; using per-class means keeps a saturating
 // sweep's multi-minute cells from inflating interactive clients'
 // backoff by two orders of magnitude.
 func (s *Server) retryAfter(class queue.Class) (secs, depth, capacity int) {
-	depth = s.sched.Depth()
+	depth = s.queued()
 	capacity = s.cfg.QueueDepth
-	classDepth := s.sched.DepthByClass()[class]
+	classDepth := s.pool(class).sched.Depth()
 	mean := s.metrics.MeanJobSecondsClass(class)
 	if mean <= 0 {
 		mean = 1
@@ -1148,7 +1176,7 @@ func (s *Server) retryAfter(class queue.Class) (secs, depth, capacity int) {
 }
 
 // Drain stops accepting jobs, lets queued and running work finish, and
-// returns when the pool is idle. If ctx expires first every in-flight
+// returns when both pools are idle. If ctx expires first every in-flight
 // job is cancelled (settling with partial results), and every
 // WatchdogGrace after that any job still running — its engine ignores
 // cancellation — is settled cancelled with an error naming the drain,
@@ -1159,11 +1187,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
-		s.sched.Close()
+		for i := range s.pools {
+			s.pools[i].sched.Close()
+		}
 		close(s.stop)
 	}
 	s.mu.Unlock()
-	// Stop every background loop before waiting on the pool: a steal
+	// Stop every background loop before waiting on the pools: a steal
 	// round would adopt new work, and a detector round could fire
 	// OnAlive and start a hint delivery (the deliveries already spawned
 	// hold wg shares and drain normally).

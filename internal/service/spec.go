@@ -1,9 +1,10 @@
 // Package service is the serving layer over the reproduction's engines.
 // It turns JSON job specs into canonical content-addressed cache keys,
-// schedules jobs on a bounded worker pool with per-job deadlines and a
-// FIFO queue with backpressure, memoizes completed results so repeated
-// queries are answered without re-simulating, and exposes the whole
-// thing over HTTP (see cmd/coordd).
+// schedules jobs on bounded worker pools, one per scheduling class,
+// with per-job deadlines and fair queues with backpressure, memoizes
+// completed results so repeated queries are answered without
+// re-simulating, and exposes the whole thing over HTTP (see
+// cmd/coordd).
 //
 // The flow is: spec → Canonicalize → Key → cache lookup → scheduler →
 // engine (mc.Estimate or an internal/experiments entry) → cache fill.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"coordattack/internal/cluster"
 	"coordattack/internal/mc"
 	"coordattack/internal/queue"
+	"coordattack/internal/store"
 )
 
 // This file enumerates the crash schedule of the steal handoff. For
@@ -234,7 +236,7 @@ func saturate(t *testing.T, v *crashNode) (ids map[string]string) {
 		t.Fatal(err)
 	}
 	ids = map[string]string{st.Key: st.ID}
-	waitUntil(t, "blocker to occupy the worker", func() bool { return v.s.running.Load() == 1 })
+	waitUntil(t, "blocker to occupy the worker", func() bool { return v.s.pool(queue.ClassInteractive).running.Load() == 1 })
 	for _, seed := range []uint64{crashStolenSeedA, crashStolenSeedB} {
 		st, err := v.s.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: seed})
 		if err != nil {
@@ -272,7 +274,7 @@ func pin(t *testing.T, n *crashNode, seed uint64) {
 	if _, err := n.s.Submit(JobSpec{Protocol: "a", Graph: "pair", Trials: 30, Seed: seed}); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "blocker to occupy the worker", func() bool { return n.s.running.Load() == 1 })
+	waitUntil(t, "blocker to occupy the worker", func() bool { return n.s.pool(queue.ClassInteractive).running.Load() == 1 })
 }
 
 // passOn has a pinned node adopt a one-job grant for key, queue one
@@ -409,7 +411,7 @@ func TestStealCrashSchedule(t *testing.T) {
 		k := grant[0].Key
 
 		adopt(t, th, grant)
-		waitUntil(t, "thief to start the stolen job", func() bool { return th.s.running.Load() == 1 })
+		waitUntil(t, "thief to start the stolen job", func() bool { return th.s.pool(queue.ClassInteractive).running.Load() == 1 })
 		th.kill() // K is in both WALs and ran 0 times
 
 		th.boot(cc, peers, Config{Workers: 1})
@@ -555,7 +557,7 @@ func TestStealCrashSchedule(t *testing.T) {
 		}
 
 		v.openGate()
-		waitUntil(t, "victim to go idle", func() bool { return v.s.running.Load() == 0 && v.s.sched.Depth() == 0 })
+		waitUntil(t, "victim to go idle", func() bool { return v.s.pool(queue.ClassInteractive).running.Load() == 0 && v.s.queued() == 0 })
 		v.s.stealRound()
 		if got := v.s.Metrics().JobsReclaimed.Load(); got != 1 {
 			t.Fatalf("victim reclaimed %d jobs, want 1 (K given back)", got)
@@ -689,5 +691,116 @@ func TestAdoptedJobKeepsItsAdmissionTime(t *testing.T) {
 	}
 	if got := at[canon.Key()]; got < before.UnixNano() || got > after.UnixNano() {
 		t.Fatalf("thief journaled the older grant at %d, want its adoption time in [%d, %d]", got, before.UnixNano(), after.UnixNano())
+	}
+}
+
+// A settled job names no thief, however it settles: Status.StolenBy is
+// empty once the job is terminal.
+func TestSettledStolenJobNamesNoThief(t *testing.T) {
+	// A donated job cancelled at its victim settles cancelled. Its
+	// follower exits on the settle.
+	t.Run("cancelled_at_victim", func(t *testing.T) {
+		cc := newRunCounter()
+		v, th := newCrashNode(t), newCrashNode(t)
+		peers := []string{v.addr, th.addr}
+		v.boot(cc, peers, Config{Workers: 1, StealPollInterval: time.Hour}, crashBlockerSeed)
+		th.boot(cc, peers, Config{Workers: 1})
+		grant, ids := saturateAndGrant(t, v, th.addr)
+		id := ids[grant[0].Key]
+		if st, err := v.s.Get(id); err != nil || st.StolenBy != th.addr {
+			t.Fatalf("granted job reads stolen_by %q (err %v), want %s", st.StolenBy, err, th.addr)
+		}
+		st, err := v.s.Cancel(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateCancelled || st.StolenBy != "" {
+			t.Fatalf("cancelled donated job: state %s stolen_by %q, want cancelled and no thief", st.State, st.StolenBy)
+		}
+	})
+
+	// The victim dies after the intent, with the key's body already in
+	// its store (the result landed, the intent's tombstone did not): the
+	// replayed intent is served from the store as a cache hit.
+	t.Run("replayed_intent_served_locally", func(t *testing.T) {
+		cc := newRunCounter()
+		st, err := store.Open(t.TempDir(), store.Options{Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(st.Close)
+		v, th := newCrashNode(t), newCrashNode(t)
+		peers := []string{v.addr, th.addr}
+		cfg := Config{Workers: 1, Store: st, StealPollInterval: time.Hour, RepairInterval: -1}
+		v.boot(cc, peers, cfg, crashBlockerSeed)
+		grant, _ := saturateAndGrant(t, v, th.addr)
+		k := grant[0].Key
+		v.kill()
+		if err := st.Put(k, json.RawMessage(`{"landed": true}`)); err != nil {
+			t.Fatal(err)
+		}
+		v.boot(cc, peers, cfg, crashBlockerSeed)
+		for _, js := range v.s.Jobs() {
+			if js.Key != k {
+				continue
+			}
+			if js.State != StateDone || !js.Cached || js.StolenBy != "" {
+				t.Fatalf("replayed intent: state %s cached %v stolen_by %q, want a done cache hit with no thief", js.State, js.Cached, js.StolenBy)
+			}
+			return
+		}
+		t.Fatalf("no replayed job for the donated key %s", k[:16])
+	})
+}
+
+// A victim grants from each pool's surplus beyond its own Workers,
+// interactive jobs first: with one worker per class, one running job
+// and two queued in the interactive pool, and one running and three
+// queued in the sweep pool, a steal of two takes the one interactive
+// job and one cell, and a steal of ten then takes the one cell left
+// over — each pool keeps a pending job for its worker.
+func TestStealGrantKeepsEachPoolsShare(t *testing.T) {
+	cc := newRunCounter()
+	v, th := newCrashNode(t), newCrashNode(t)
+	peers := []string{v.addr, th.addr}
+	const sweepBlockerSeed = 424245
+	v.boot(cc, peers, Config{Workers: 1, StealPollInterval: time.Hour}, crashBlockerSeed, sweepBlockerSeed)
+	saturate(t, v)
+	if _, err := v.s.SubmitSweep(SweepSpec{
+		Base: JobSpec{Protocol: "a", Graph: "pair", Trials: 30},
+		Axes: SweepAxes{Seeds: []uint64{sweepBlockerSeed, 2001, 2002, 2003}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "a cell to occupy the sweep pool", func() bool { return v.s.pool(queue.ClassSweep).running.Load() == 1 })
+	// Cancelling each donated job at the end ends its follower, which
+	// would otherwise poll the silent thief until the drain deadline.
+	var donated []string
+	defer func() {
+		for _, st := range v.s.Jobs() {
+			if slices.Contains(donated, st.Key) {
+				v.s.Cancel(st.ID)
+			}
+		}
+	}()
+	classes := func(grant []queue.Record) (in, sw int) {
+		for _, rec := range grant {
+			donated = append(donated, rec.Key)
+			if queue.Class(rec.Class) == queue.ClassSweep {
+				sw++
+			} else {
+				in++
+			}
+		}
+		return in, sw
+	}
+	if in, sw := classes(v.s.stealVictim(2, th.addr)); in != 1 || sw != 1 {
+		t.Fatalf("steal of 2 granted %d interactive and %d sweep jobs, want 1 and 1", in, sw)
+	}
+	if in, sw := classes(v.s.stealVictim(10, th.addr)); in != 0 || sw != 1 {
+		t.Fatalf("steal of 10 granted %d interactive and %d sweep jobs, want 0 and 1", in, sw)
+	}
+	if in, sw := v.s.pool(queue.ClassInteractive).sched.Depth(), v.s.pool(queue.ClassSweep).sched.Depth(); in != 1 || sw != 1 {
+		t.Fatalf("pools keep %d interactive and %d sweep jobs pending, want 1 each", in, sw)
 	}
 }

@@ -246,7 +246,8 @@ type SweepStatus struct {
 
 // SubmitSweep expands spec into its cell grid and admits the sweep as
 // one unit. It is refused up front while draining (ErrDraining) or while
-// the scheduler already holds QueueDepth jobs (ErrQueueFull). Otherwise
+// both pools already hold QueueDepth pending jobs in all (ErrQueueFull),
+// so a backlog of either class defers new sweeps. Otherwise
 // every cell goes through submit as accepted work — served from the
 // result cache, coalesced onto an in-flight twin, or enqueued on the
 // sweep's own flow past MaxDepth — and only then is the sweep
@@ -272,7 +273,7 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*SweepStatus, error) {
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
-	if s.sched.Depth() >= s.cfg.QueueDepth {
+	if s.queued() >= s.cfg.QueueDepth {
 		s.mu.Unlock()
 		s.metrics.SweepsRejected.Add(1)
 		return nil, ErrQueueFull

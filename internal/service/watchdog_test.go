@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"coordattack/internal/mc"
+	"coordattack/internal/queue"
 )
 
 // stallWrapper wedges the engine for jobs carrying the marked seed: the
@@ -51,7 +52,7 @@ func TestWatchdogKillsStuckJobAndFreesSlot(t *testing.T) {
 	if got := s.Metrics().WatchdogKills.Load(); got != 1 {
 		t.Errorf("watchdog kills = %d, want 1", got)
 	}
-	if got := s.running.Load(); got != 0 {
+	if got := s.pool(queue.ClassInteractive).running.Load(); got != 0 {
 		t.Errorf("running gauge = %d after kill, want 0", got)
 	}
 
@@ -143,40 +144,64 @@ func TestJobsGCEvictsOldestSettledOnly(t *testing.T) {
 	}
 }
 
-// TestDrainDeadlineBoundsWedgedEngine: an engine that ignores its
-// context cannot hold Drain much past its deadline. One watchdog grace
-// after the deadline's cancel, the still-running job is settled
-// cancelled with an error naming the drain, its worker moves on, and
-// Drain returns the deadline error.
+// TestDrainDeadlineBoundsWedgedEngine: a forced drain returns once
+// WatchdogGrace past its deadline even when engines ignore
+// cancellation, and every wedged job settles cancelled with an error
+// naming the drain — an interactive job alone, or an interactive job
+// and a sweep cell each wedged in their own pool.
 func TestDrainDeadlineBoundsWedgedEngine(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	s := New(Config{Workers: 1, WatchdogGrace: 100 * time.Millisecond, WrapEngine: stallWrapper(666, block)})
-	st, err := s.Submit(JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 300, Seed: 666})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "the wedged job to run", func() bool {
-		g, err := s.Get(st.ID)
-		return err == nil && g.State == StateRunning
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	drained := make(chan error, 1)
-	go func() { drained <- s.Drain(ctx) }()
-	select {
-	case err := <-drained:
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("drain: %v, want %v", err, context.DeadlineExceeded)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Drain still blocked 2 s after its 200 ms deadline")
-	}
-	fin, err := s.Get(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin.State != StateCancelled || !strings.Contains(fin.Error, "drain") {
-		t.Errorf("wedged job settled %s (%q), want cancelled naming the drain", fin.State, fin.Error)
+	for _, tc := range []struct {
+		name  string
+		sweep bool
+	}{{"interactive", false}, {"both pools", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			block := make(chan struct{})
+			defer close(block)
+			s := New(Config{Workers: 1, WatchdogGrace: 100 * time.Millisecond, WrapEngine: stallWrapper(666, block)})
+			st, err := s.Submit(JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 300, Seed: 666})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := []string{st.ID}
+			if tc.sweep {
+				sw, err := s.SubmitSweep(SweepSpec{
+					Base: JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 200},
+					Axes: SweepAxes{Seeds: []uint64{666}},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, sw.Table[0].JobID)
+			}
+			waitUntil(t, "the wedged jobs to run", func() bool {
+				for _, id := range ids {
+					if g, err := s.Get(id); err != nil || g.State != StateRunning {
+						return false
+					}
+				}
+				return true
+			})
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			drained := make(chan error, 1)
+			go func() { drained <- s.Drain(ctx) }()
+			select {
+			case err := <-drained:
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("drain: %v, want %v", err, context.DeadlineExceeded)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("Drain still blocked 2 s after its 200 ms deadline")
+			}
+			for _, id := range ids {
+				fin, err := s.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fin.State != StateCancelled || !strings.Contains(fin.Error, "drain") {
+					t.Errorf("wedged job %s settled %s (%q), want cancelled naming the drain", id, fin.State, fin.Error)
+				}
+			}
+		})
 	}
 }
